@@ -35,8 +35,7 @@ task = policyhead.TaskInputs(
 params = policyhead.init_policy_params(seed=0)
 out = policyhead.policy_forward(params, emb, task)
 
-cmd = policyhead.ActionCommand(out.action[0:3], out.action[3:6],
-                               out.action[6:13], out.action[13:20])
+cmd = out.command()  # softplus was applied once, inside policy_forward
 print(f"value estimate: {out.value:+.4f}")
 print(f"subgoal translation: {np.round(cmd.delta_translation, 4)}")
 print(f"subgoal rotation (axis-angle): {np.round(cmd.delta_rotation, 4)}")

@@ -94,9 +94,12 @@ def fk(chain: SerialChain, q) -> Pose:
 
 def jacobian(chain: SerialChain, q) -> np.ndarray:
     """World-frame geometric Jacobian, rows [linear; angular], shape (6, n)."""
-    positions, axes_world, ee = _frames(chain, q)
-    jac = np.empty((6, chain.n_joints))
-    for i in range(chain.n_joints):
+    return _jacobian_of(*_frames(chain, q))
+
+
+def _jacobian_of(positions, axes_world, ee: Pose) -> np.ndarray:
+    jac = np.empty((6, len(positions)))
+    for i in range(len(positions)):
         jac[:3, i] = np.cross(axes_world[i], ee.translation - positions[i])
         jac[3:, i] = axes_world[i]
     return jac
@@ -144,16 +147,17 @@ def ik(chain: SerialChain, q, target_residual: Pose, cfg: IkConfig = IkConfig())
     is returned with no_progress set.
     """
     q = np.asarray(q, dtype=np.float64).reshape(chain.n_joints).copy()
-    start = fk(chain, q)
+    frames = _frames(chain, q)  # of the accepted q; only line-search candidates call fk
+    start = frames[2]
     target = Pose(start.translation + target_residual.translation,
                   target_residual.rotation.compose(start.rotation))
     weight = cfg.pos_tolerance / cfg.rot_tolerance
 
-    def error_of(qv):
-        e_t, e_r = _twist_error(target, fk(chain, qv))
+    def error_of(pose):
+        e_t, e_r = _twist_error(target, pose)
         return float(np.linalg.norm(e_t)), float(np.linalg.norm(e_r))
 
-    pos_err, rot_err = error_of(q)
+    pos_err, rot_err = error_of(start)
     combined = pos_err + weight * rot_err
     iterations = 0
     no_progress = False
@@ -161,16 +165,18 @@ def ik(chain: SerialChain, q, target_residual: Pose, cfg: IkConfig = IkConfig())
         if pos_err <= cfg.pos_tolerance and rot_err <= cfg.rot_tolerance:
             iterations -= 1
             break
-        e_t, e_r = _twist_error(target, fk(chain, q))
-        step = dls_step(jacobian(chain, q), np.concatenate([e_t, e_r]), cfg.damping)
+        if frames is None:
+            frames = _frames(chain, q)
+        e_t, e_r = _twist_error(target, frames[2])
+        step = dls_step(_jacobian_of(*frames), np.concatenate([e_t, e_r]), cfg.damping)
         step = np.clip(step, -cfg.step_clamp, cfg.step_clamp)
         improved = False
         for _ in range(9):
             candidate = q + step
-            p, r = error_of(candidate)
+            p, r = error_of(fk(chain, candidate))
             if p + weight * r < combined:
                 q, pos_err, rot_err, combined = candidate, p, r, p + weight * r
-                improved = True
+                frames, improved = None, True
                 break
             step = step * 0.5
         if not improved:

@@ -15,6 +15,8 @@ u16 name length, name bytes, u8 rank, u32 dims, f64 values.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -25,6 +27,7 @@ from .autodiff import Tensor
 from .contactgen import patch_labels
 from .errors import (
     BadMagic,
+    DatasetIoError,
     Divergence,
     EmptyDataset,
     NonFiniteGradient,
@@ -54,16 +57,8 @@ class EncoderConfig:
             raise ShapeMismatch("d_model must be divisible by n_heads")
 
     @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
-    @property
     def patch_dim(self) -> int:
         return 3 * self.patch.patch_size
-
-    @property
-    def n_tokens(self) -> int:
-        return self.patch.n_patches + 1
 
 
 @dataclass(frozen=True)
@@ -79,6 +74,9 @@ class HandState:
         if not np.all(np.isfinite(v)):
             raise NonFiniteInput("non-finite hand state")
         return v
+
+
+_ATTENTION = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
 def init_encoder_params(cfg: EncoderConfig = EncoderConfig(), seed: int = 0) -> dict[str, Tensor]:
@@ -101,10 +99,7 @@ def init_encoder_params(cfg: EncoderConfig = EncoderConfig(), seed: int = 0) -> 
         p = f"blk{i}."
         params.update({
             p + "ln1.g": Tensor(np.ones(d)), p + "ln1.b": b(d),
-            p + "wq": w(d, d), p + "bq": b(d),
-            p + "wk": w(d, d), p + "bk": b(d),
-            p + "wv": w(d, d), p + "bv": b(d),
-            p + "wo": w(d, d), p + "bo": b(d),
+            **{p + n: w(d, d) if n[0] == "w" else b(d) for n in _ATTENTION},
             p + "ln2.g": Tensor(np.ones(d)), p + "ln2.b": b(d),
             p + "ffn.w1": w(d, f), p + "ffn.b1": b(f),
             p + "ffn.w2": w(f, d), p + "ffn.b2": b(d),
@@ -116,48 +111,36 @@ def init_encoder_params(cfg: EncoderConfig = EncoderConfig(), seed: int = 0) -> 
     return params
 
 
-def _self_attention(params, prefix, x: Tensor, cfg: EncoderConfig) -> Tensor:
-    batch, tokens = x.shape[0], x.shape[1]
-    h, dh = cfg.n_heads, cfg.head_dim
-    q = ad.linear(x, params[prefix + "wq"], params[prefix + "bq"])
-    k = ad.linear(x, params[prefix + "wk"], params[prefix + "bk"])
-    v = ad.linear(x, params[prefix + "wv"], params[prefix + "bv"])
-    split = lambda t: ad.transpose(ad.reshape(t, (batch, tokens, h, dh)), (0, 2, 1, 3))
-    q, k, v = split(q), split(k), split(v)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = ad.softmax(scores)
-    out = ad.matmul(attn, v)
-    out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (batch, tokens, cfg.d_model))
-    return ad.linear(out, params[prefix + "wo"], params[prefix + "bo"])
-
-
-def _encode_graph(params, cfg: EncoderConfig, patch_flat, centers, hand) -> Tensor:
-    """Token mixing over a batch; returns the (B, 17, d) token tensor."""
-    tok = ad.linear(
-        ad.gelu(ad.linear(Tensor(patch_flat), params["tok.w1"], params["tok.b1"])),
-        params["tok.w2"], params["tok.b2"],
-    )
-    pos = ad.linear(Tensor(centers), params["pos.w"], params["pos.b"])
-    patch_tokens = ad.add(tok, pos)
-    hand_tok = ad.linear(Tensor(hand), params["hand.w"], params["hand.b"])
-    hand_tok = ad.reshape(hand_tok, (hand.shape[0], 1, cfg.d_model))
-    x = ad.concat([patch_tokens, hand_tok], axis=1)
+def _encode(ops, p, cfg: EncoderConfig, patch_flat, centers, hand):
+    """Token mixing over a batch: the (B, 17, d) tokens. `ops` is the autodiff
+    module with Tensor parameters `p` and inputs, or `autodiff.forward` with
+    arrays; both run the same numpy forward functions."""
+    tok = ops.linear(ops.gelu(ops.linear(patch_flat, p["tok.w1"], p["tok.b1"])),
+                     p["tok.w2"], p["tok.b2"])
+    patch_tokens = ops.add(tok, ops.linear(centers, p["pos.w"], p["pos.b"]))
+    hand_tok = ops.reshape(ops.linear(hand, p["hand.w"], p["hand.b"]),
+                           (hand.shape[0], 1, cfg.d_model))
+    x = ops.concat([patch_tokens, hand_tok], axis=1)
     for i in range(cfg.n_layers):
-        p = f"blk{i}."
-        h = ad.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
-        x = ad.add(x, _self_attention(params, p, h, cfg))
-        h = ad.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
-        ff = ad.linear(ad.gelu(ad.linear(h, params[p + "ffn.w1"], params[p + "ffn.b1"])),
-                       params[p + "ffn.w2"], params[p + "ffn.b2"])
-        x = ad.add(x, ff)
+        b = f"blk{i}."
+        h = ops.layer_norm(x, p[b + "ln1.g"], p[b + "ln1.b"])
+        x = ops.add(x, ops.self_attention(h, [p[b + n] for n in _ATTENTION], cfg.n_heads))
+        h = ops.layer_norm(x, p[b + "ln2.g"], p[b + "ln2.b"])
+        ff = ops.linear(ops.gelu(ops.linear(h, p[b + "ffn.w1"], p[b + "ffn.b1"])),
+                        p[b + "ffn.w2"], p[b + "ffn.b2"])
+        x = ops.add(x, ff)
     return x
 
 
-def _decode_graph(params, patch_tokens: Tensor) -> Tensor:
+def _decode(ops, p, patch_tokens):
     """Shared per-patch MLP down to one logit per patch: (B, P, d) -> (B, P)."""
-    h = ad.gelu(ad.linear(patch_tokens, params["dec.w1"], params["dec.b1"]))
-    logits = ad.linear(h, params["dec.w2"], params["dec.b2"])
-    return ad.reshape(logits, logits.shape[:-1])
+    h = ops.gelu(ops.linear(patch_tokens, p["dec.w1"], p["dec.b1"]))
+    logits = ops.linear(h, p["dec.w2"], p["dec.b2"])
+    return ops.reshape(logits, logits.shape[:-1])
+
+
+def _arrays(params) -> dict[str, np.ndarray]:
+    return {name: p.values for name, p in params.items()}
 
 
 def _check_batch_shapes(cfg, patch_flat, centers, hand):
@@ -180,8 +163,7 @@ def encode(params, patches: PatchSet, hand: HandState, cfg: EncoderConfig = Enco
     centers = patches.centers.reshape(1, patches.n_patches, 3)
     hand_vec = hand.vector().reshape(1, -1)
     _check_batch_shapes(cfg, patch_flat, centers, hand_vec)
-    x = _encode_graph(params, cfg, patch_flat, centers, hand_vec)
-    values = x.values[0]
+    values = _encode(ad.forward, _arrays(params), cfg, patch_flat, centers, hand_vec)[0]
     return values[: cfg.patch.n_patches].copy(), values[cfg.patch.n_patches].copy()
 
 
@@ -189,22 +171,17 @@ def decode_contact(params, patch_embeddings, cfg: EncoderConfig = EncoderConfig(
     emb = np.asarray(patch_embeddings, dtype=np.float64)
     if emb.shape != (cfg.patch.n_patches, cfg.d_model):
         raise ShapeMismatch(f"expected ({cfg.patch.n_patches}, {cfg.d_model}), got {emb.shape}")
-    out = _decode_graph(params, Tensor(emb.reshape(1, *emb.shape)))
-    return out.values[0].copy()
+    return _decode(ad.forward, _arrays(params), emb[None])[0]
 
 
-def bce_loss(logits, labels) -> float:
-    """Stable elementwise mean of max(z,0) - z*y + log(1 + exp(-|z|))."""
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    return float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
+bce_loss = ad.forward.bce_with_logits_mean
 
 
 def batch_loss_graph(params, cfg, patch_flat, centers, hand, labels) -> Tensor:
     _check_batch_shapes(cfg, patch_flat, centers, hand)
-    x = _encode_graph(params, cfg, patch_flat, centers, hand)
-    patch_tokens = ad.narrow(x, 1, 0, cfg.patch.n_patches)
-    logits = _decode_graph(params, patch_tokens)
+    inputs = (ad.constant(a) for a in (patch_flat, centers, hand))
+    x = _encode(ad, params, cfg, *inputs)
+    logits = _decode(ad, params, ad.narrow(x, 1, 0, cfg.patch.n_patches))
     return ad.bce_with_logits_mean(logits, labels)
 
 
@@ -226,9 +203,11 @@ def backward(params, batch, cfg: EncoderConfig = EncoderConfig()):
 
 
 def batch_logits(params, cfg, patch_flat, centers, hand) -> np.ndarray:
-    x = _encode_graph(params, cfg, patch_flat, centers, hand)
-    patch_tokens = ad.narrow(x, 1, 0, cfg.patch.n_patches)
-    return _decode_graph(params, patch_tokens).values
+    """(B, P) contact logits with no graph; bit-equal to the graph's logits."""
+    arrays = _arrays(params)
+    inputs = (np.asarray(a, dtype=np.float64) for a in (patch_flat, centers, hand))
+    x = _encode(ad.forward, arrays, cfg, *inputs)
+    return _decode(ad.forward, arrays, x[:, : cfg.patch.n_patches])
 
 
 # ----------------------------------------------------------------- training
@@ -258,10 +237,6 @@ class TrainReport:
     majority_baseline: float
     n_train: int
     n_val: int
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.val_accuracy[-1]
 
 
 # Coordinates are fed to the network in decimeters: desk-scale offsets in
@@ -326,7 +301,8 @@ def _take(features, idx):
 
 def train(params, records, train_cfg: TrainConfig = TrainConfig(),
           cfg: EncoderConfig = EncoderConfig(), features=None) -> TrainReport:
-    """Minibatch AdamW on the joint encoder + decoder, mutating `params`.
+    """Minibatch AdamW on the joint encoder + decoder, updating the arrays
+    of `params` in place.
 
     Split is 90/10 by record index (validation is the trailing slice). Raises
     Divergence if the loss goes non-finite.
@@ -370,14 +346,22 @@ def train(params, records, train_cfg: TrainConfig = TrainConfig(),
                 lr *= 0.5 * (1.0 + np.cos(np.pi * min(done, 1.0)))
             bc1 = 1.0 - train_cfg.beta1**step
             bc2 = 1.0 - train_cfg.beta2**step
+            # in place, in the order of (m / bc1) / (sqrt(v / bc2) + eps): fresh
+            # arrays for every operation cost page faults on large tensors
             for name, p in params.items():
-                g = grads[name]
-                m_state[name] = train_cfg.beta1 * m_state[name] + (1 - train_cfg.beta1) * g
-                v_state[name] = train_cfg.beta2 * v_state[name] + (1 - train_cfg.beta2) * g * g
-                update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + train_cfg.adam_eps)
+                g, m, v = grads[name], m_state[name], v_state[name]
+                m *= train_cfg.beta1
+                m += (1 - train_cfg.beta1) * g
+                v *= train_cfg.beta2
+                v += (1 - train_cfg.beta2) * g * g
+                denom = np.sqrt(v / bc2)
+                denom += train_cfg.adam_eps
+                update = m / bc1
+                update /= denom
                 if name.rsplit(".", 1)[-1].startswith("w"):
-                    update = update + train_cfg.weight_decay * p.values
-                p.values = p.values - lr * update
+                    update += train_cfg.weight_decay * p.values
+                update *= lr
+                p.values -= update
         report.train_losses.append(float(np.mean(losses)))
         if val is not None:
             m = evaluate(params, val, cfg)
@@ -422,23 +406,24 @@ def _read_exact(fh, size, what):
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     out = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic, version = struct.unpack("<4sI", _read_exact(fh, 8, "header"))
         if magic != CHECKPOINT_MAGIC:
             raise BadMagic(f"expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise UnsupportedVersion(f"checkpoint version {version} not supported")
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            if len(head) != 2:
-                raise TruncatedRecord("checkpoint ends inside name length")
-            (name_len,) = struct.unpack("<H", head)
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
+            try:
+                name = _read_exact(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetIoError(f"checkpoint tensor name is not UTF-8: {exc}") from None
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            count = int(np.prod(dims)) if rank else 1
-            values = np.frombuffer(_read_exact(fh, 8 * count, "values"), dtype="<f8")
+            nbytes = 8 * math.prod(dims)
+            if nbytes > size - fh.tell():
+                raise TruncatedRecord(f"checkpoint ends inside the {dims} values of {name}")
+            values = np.frombuffer(_read_exact(fh, nbytes, "values"), dtype="<f8")
             out[name] = values.reshape(dims).copy()
     return out
 

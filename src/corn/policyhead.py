@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
+from .autodiff import forward as F
 from .errors import NonFiniteInput, NonPositiveGains, ShapeMismatch
 from .geom import Pose, rot_to_6d
 
@@ -28,13 +28,7 @@ RESTITUTION_RANGE = (0.0, 1.0)
 ACTION_DIM = 20  # 3 translation + 3 rotation + 7 kp + 7 damping
 
 
-def softplus(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+softplus = F.softplus
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,9 @@ class ActionCommand:
 
 
 def action_command(raw: np.ndarray) -> ActionCommand:
-    """Map a raw 20-vector actor output to a valid command (softplus gains)."""
+    """Map the raw 20-vector actor output, before softplus, to a valid command
+    (softplus gains). `PolicyOutput.action` already has softplus applied: use
+    `PolicyOutput.command()` for it."""
     raw = np.asarray(raw, dtype=np.float64).reshape(ACTION_DIM)
     return ActionCommand(raw[0:3], raw[3:6], softplus(raw[6:13]), softplus(raw[13:20]))
 
@@ -107,11 +103,9 @@ class PolicyConfig:
     shared_dims: tuple = (512, 256, 128)
     n_patches: int = 16
 
-    @property
-    def head_dim(self) -> int:
+    def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ShapeMismatch("d_model must be divisible by n_heads")
-        return self.d_model // self.n_heads
 
 
 def init_policy_params(cfg: PolicyConfig = PolicyConfig(), seed: int = 0) -> dict[str, np.ndarray]:
@@ -147,11 +141,14 @@ class PolicyOutput:
     value: float
     attention: np.ndarray  # (n_heads, n_queries, n_patches); rows sum to 1
 
+    def command(self) -> ActionCommand:
+        """The command of this output; softplus was applied once, in
+        policy_forward, and is not applied again."""
+        a = self.action
+        return ActionCommand(a[0:3], a[3:6], a[6:13], a[13:20])
 
-def _softmax_rows(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+
+_softmax_rows = F.softmax
 
 
 def policy_forward(params, patch_embeddings, task: TaskInputs,
@@ -163,23 +160,20 @@ def policy_forward(params, patch_embeddings, task: TaskInputs,
         raise NonFiniteInput("non-finite patch embeddings")
     feats = task.vector()
 
-    queries = _gelu(feats @ params["query.w1"] + params["query.b1"])
-    queries = (queries @ params["query.w2"] + params["query.b2"]).reshape(cfg.n_queries, cfg.d_model)
+    queries = F.gelu(F.linear(feats, params["query.w1"], params["query.b1"]))
+    queries = F.linear(queries, params["query.w2"], params["query.b2"]).reshape(cfg.n_queries, -1)
 
-    h, dh = cfg.n_heads, cfg.head_dim
-    q = (queries @ params["attn.wq"] + params["attn.bq"]).reshape(cfg.n_queries, h, dh)
-    k = (emb @ params["attn.wk"] + params["attn.bk"]).reshape(cfg.n_patches, h, dh)
-    v = (emb @ params["attn.wv"] + params["attn.bv"]).reshape(cfg.n_patches, h, dh)
-    scores = np.einsum("qhd,phd->hqp", q, k) / np.sqrt(dh)
-    attention = _softmax_rows(scores)                      # (heads, queries, patches)
-    attended = np.einsum("hqp,phd->qhd", attention, v).reshape(cfg.n_queries, cfg.d_model)
-    attended = attended @ params["attn.wo"] + params["attn.bo"]
+    q = F.linear(queries, params["attn.wq"], params["attn.bq"])
+    k = F.linear(emb, params["attn.wk"], params["attn.bk"])
+    v = F.linear(emb, params["attn.wv"], params["attn.bv"])
+    attended, attention = F.attention(q, k, v, cfg.n_heads)  # attention (heads, queries, patches)
+    attended = F.linear(attended, params["attn.wo"], params["attn.bo"])
 
     x = np.concatenate([attended.reshape(-1), feats])
     for i in range(len(cfg.shared_dims)):
-        x = _gelu(x @ params[f"shared.w{i}"] + params[f"shared.b{i}"])
-    raw_action = x @ params["actor.w"] + params["actor.b"]
-    value = float((x @ params["critic.w"] + params["critic.b"])[0])
+        x = F.gelu(F.linear(x, params[f"shared.w{i}"], params[f"shared.b{i}"]))
+    raw_action = F.linear(x, params["actor.w"], params["actor.b"])
+    value = float(F.linear(x, params["critic.w"], params["critic.b"])[0])
     action = raw_action.copy()
     action[6:] = softplus(raw_action[6:])
     return PolicyOutput(action=action, value=value, attention=attention)

@@ -1,4 +1,9 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +195,21 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "stats", "--data", "/nonexistent/file.corn")
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("name, dims", [(b"tok.w1", (2**32 - 1,) * 4), (b"\xff", (1,))])
+def test_attn_on_malformed_checkpoint_exits_one(assets, tmp_path, name, dims):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(struct.pack("<4sIH", b"CKPT", 1, len(name)) + name
+                     + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + bytes(64))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "corn.cli", "attn", "--ckpt", str(ckpt),
+                           "--cloud", str(assets / "objects" / "cube.obj"),
+                           "--pose", "0 0 0.1 0 0 0 1"], capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_version_exits_zero(capsys):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from corn import control
 from corn.control import (
     IkConfig,
+    IkResult,
     SerialChain,
     chain_from_dict,
     chain_to_dict,
@@ -190,6 +192,69 @@ def test_ik_unreachable_flags_no_progress():
     res = ik(chain, np.full(7, 0.2), Pose([10.0, 0, 0], Rotation.identity()))
     assert res.no_progress and not res.converged
     assert np.all(np.isfinite(res.q))
+
+
+def reference_ik(chain, q, target_residual, cfg=IkConfig()):
+    """The loop as first written, with fk of the same q up to three times."""
+    q = np.asarray(q, dtype=np.float64).reshape(chain.n_joints).copy()
+    start = fk(chain, q)
+    target = Pose(start.translation + target_residual.translation,
+                  target_residual.rotation.compose(start.rotation))
+    weight = cfg.pos_tolerance / cfg.rot_tolerance
+
+    def error_of(qv):
+        e_t, e_r = control._twist_error(target, fk(chain, qv))
+        return float(np.linalg.norm(e_t)), float(np.linalg.norm(e_r))
+
+    pos_err, rot_err = error_of(q)
+    combined = pos_err + weight * rot_err
+    iterations = 0
+    no_progress = False
+    for iterations in range(1, cfg.max_iters + 1):
+        if pos_err <= cfg.pos_tolerance and rot_err <= cfg.rot_tolerance:
+            iterations -= 1
+            break
+        e_t, e_r = control._twist_error(target, fk(chain, q))
+        step = dls_step(jacobian(chain, q), np.concatenate([e_t, e_r]), cfg.damping)
+        step = np.clip(step, -cfg.step_clamp, cfg.step_clamp)
+        improved = False
+        for _ in range(9):
+            candidate = q + step
+            p, r = error_of(candidate)
+            if p + weight * r < combined:
+                q, pos_err, rot_err, combined = candidate, p, r, p + weight * r
+                improved = True
+                break
+            step = step * 0.5
+        if not improved:
+            no_progress = True
+            break
+    converged = pos_err <= cfg.pos_tolerance and rot_err <= cfg.rot_tolerance
+    return IkResult(q=q, pos_error=pos_err, rot_error=rot_err,
+                    iterations=iterations, converged=converged, no_progress=no_progress)
+
+
+def test_ik_bit_identical_to_reference_loop():
+    chain = franka_like_chain()
+    rng = np.random.default_rng(12)
+    for i in range(20):
+        q = READY + rng.uniform(-0.3, 0.3, size=7)
+        size = (0.003, 0.03, 0.3, 3.0)[i % 4]
+        residual = Pose(rng.normal(size=3) * size / 3,
+                        Rotation.from_axis_angle(rng.normal(size=3) * size))
+        got, want = ik(chain, q, residual), reference_ik(chain, q, residual)
+        assert np.array_equal(got.q, want.q)
+        assert (got.pos_error, got.rot_error, got.iterations, got.converged, got.no_progress) == \
+            (want.pos_error, want.rot_error, want.iterations, want.converged, want.no_progress)
+
+
+def test_ik_one_iteration_evaluates_frames_twice(monkeypatch):
+    calls = []
+    frames = control._frames
+    monkeypatch.setattr(control, "_frames", lambda chain, q: calls.append(1) or frames(chain, q))
+    res = ik(franka_like_chain(), READY, Pose([0.0005, 0.0, 0.0], Rotation.identity()))
+    assert res.converged and res.iterations == 1
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------------- torque

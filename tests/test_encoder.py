@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from corn.encoder import (
     params_from_arrays,
     save_checkpoint,
 )
-from corn.errors import BadMagic, EmptyDataset, ShapeMismatch
+from corn.errors import BadMagic, DatasetIoError, EmptyDataset, ShapeMismatch, TruncatedRecord
 from corn.patches import PatchConfig, PatchSet, make_patches
 
 CFG = EncoderConfig()
@@ -261,6 +263,26 @@ def test_checkpoint_bad_magic(tmp_path):
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
     with pytest.raises(BadMagic):
+        load_checkpoint(path)
+
+
+def write_raw_checkpoint(path, name: bytes, dims, payload=b""):
+    """One tensor record written by hand, so its header can lie."""
+    path.write_bytes(struct.pack("<4sI", b"CKPT", 1) + struct.pack("<H", len(name)) + name
+                     + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+def test_checkpoint_dims_beyond_file_size(tmp_path):
+    path = tmp_path / "huge.ckpt"
+    write_raw_checkpoint(path, b"tok.w1", (2**32 - 1,) * 4, bytes(64))
+    with pytest.raises(TruncatedRecord):
+        load_checkpoint(path)
+
+
+def test_checkpoint_name_not_utf8(tmp_path):
+    path = tmp_path / "name.ckpt"
+    write_raw_checkpoint(path, b"\xff", (1,), bytes(8))
+    with pytest.raises(DatasetIoError):
         load_checkpoint(path)
 
 

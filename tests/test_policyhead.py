@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corn.control import torque
 from corn.errors import NonPositiveGains, ShapeMismatch
 from corn.geom import Pose, Rotation
 from corn.policyhead import (
@@ -105,6 +106,19 @@ def test_action_command_softplus_mapping():
     assert np.array_equal(cmd.delta_rotation, raw[3:6])
     assert np.all(cmd.kp > 0) and np.all(cmd.damping > 0)
     assert np.allclose(cmd.kp, softplus(raw[6:13]))
+
+
+def test_command_applies_softplus_once():
+    rng = np.random.default_rng(9)
+    out = policy_forward(init_policy_params(CFG, seed=0), rng.normal(size=(16, 128)) * 3,
+                         make_task(rng), CFG)
+    cmd = out.command()
+    assert np.array_equal(cmd.kp, out.action[6:13])
+    assert np.array_equal(cmd.damping, out.action[13:20])
+    q, qdot, q_target = rng.normal(size=7), rng.normal(size=7), rng.normal(size=7)
+    tau = torque(cmd.kp, cmd.damping, q_target, q, qdot)
+    kp = out.action[6:13]
+    assert np.array_equal(tau, kp * (q_target - q) - out.action[13:20] * np.sqrt(kp) * qdot)
 
 
 def test_action_command_rejects_zero_gains():
