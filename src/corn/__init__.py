@@ -5,7 +5,8 @@ Submodules
 geom        SE(3) poses, meshes, clouds, geometric queries
 shapes      procedural watertight primitives
 patches     FPS/kNN patch decomposition of point clouds
-contactgen  contact-label dataset generation and binary format
+contactgen  contact-label dataset generation and its file I/O
+formats     .corn/.ckpt/.pcseq byte layouts and the bounded reader
 autodiff    minimal reverse-mode automatic differentiation on numpy arrays
 encoder     patch-transformer encoder, contact decoder, training loop
 policyhead  forward-only policy/value network with cross-attention
@@ -17,6 +18,7 @@ cli         `corn` command-line entry point
 """
 
 from .errors import CornError
+from .formats import CHECKPOINT_FORMAT_VERSION, DATASET_FORMAT_VERSION, PCSEQ_FORMAT_VERSION
 from .geom import (
     Aabb,
     PointCloud,
@@ -37,10 +39,6 @@ from .geom import (
 from .patches import PatchConfig, PatchSet, farthest_point_sample, knn, make_patches
 
 __version__ = "0.1.0"
-
-DATASET_FORMAT_VERSION = 1
-CHECKPOINT_FORMAT_VERSION = 1
-PCSEQ_FORMAT_VERSION = 1
 
 __all__ = [
     "Aabb",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import ConfigError, CornError, MeshLoadError, TooFewPoints
 from .geom import Pose, load_obj, rot_to_6d, sample_surface_points
 from .patches import PatchConfig, farthest_point_sample, make_patches
 
-# option tables: subcommand -> option -> (type, default, help)
+# option tables: subcommand -> option -> (type, default, help); default None = required
 _OPTIONS = {
     "gen-data": {
         "objects": (str, None, "directory of .obj meshes"),
@@ -79,17 +80,6 @@ _OPTIONS = {
     },
 }
 
-_REQUIRED = {
-    "gen-data": ("objects", "gripper", "out"),
-    "train": ("data", "out"),
-    "eval": ("data", "ckpt"),
-    "track": ("seq", "init-pose"),
-    "stable-poses": ("mesh",),
-    "reward-trace": ("traj",),
-    "attn": ("ckpt", "cloud", "pose"),
-    "stats": ("data",),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -119,8 +109,11 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags; unknown config keys rejected."""
     merged = {opt: default for opt, (_t, default, _h) in _OPTIONS[command].items()}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in raw.items():
@@ -128,26 +121,37 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             if sub not in _OPTIONS or opt not in _OPTIONS[sub]:
                 raise ConfigError(f"unknown config key {key!r}")
             if sub == command:
-                merged[opt] = _OPTIONS[sub][opt][0](value)
+                typ = _OPTIONS[sub][opt][0]
+                try:
+                    merged[opt] = typ(value)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"config key {key!r} must be {typ.__name__}, got {value!r}") from None
     for opt in _OPTIONS[command]:
         flag_value = getattr(args, opt.replace("-", "_"))
         if flag_value is not None:
             merged[opt] = flag_value
-    missing = [o for o in _REQUIRED[command] if merged[o] is None]
+    missing = [o for o, value in merged.items() if value is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
     return merged
 
 
 def _parse_seven(text: str) -> np.ndarray:
-    vals = [float(x) for x in text.replace(",", " ").split()]
+    try:
+        vals = [float(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        vals = []
     if len(vals) != 7:
-        raise ConfigError("pose needs exactly 7 values: tx ty tz qx qy qz qw")
+        raise ConfigError(f"pose needs exactly 7 reals tx ty tz qx qy qz qw, got {text!r}")
     return np.array(vals)
 
 
 def _json_out(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
+
+
+def _print_stats(records) -> None:
+    _json_out(asdict(contactgen.dataset_stats(records)))
 
 
 # ------------------------------------------------------------- subcommands
@@ -166,14 +170,8 @@ def _cmd_gen_data(opt) -> int:
     )
     records = contactgen.generate_dataset(objects, gripper, cfg, opt["count"], jobs=opt["jobs"])
     contactgen.write_dataset(records, opt["out"])
-    stats = contactgen.dataset_stats(records)
     print(f"wrote {opt['count']} records to {opt['out']}", file=sys.stderr)
-    _json_out({
-        "n_records": stats.n_records,
-        "fraction_records_any_contact": stats.fraction_records_any_contact,
-        "fraction_points_positive": stats.fraction_points_positive,
-        "fraction_patches_positive": stats.fraction_patches_positive,
-    })
+    _print_stats(records)
     return 0
 
 
@@ -185,15 +183,7 @@ def _cmd_train(opt) -> int:
                                batch_size=opt["batch"], seed=opt["seed"])
     report = encoder.train(params, records, tcfg, ecfg)
     encoder.save_checkpoint(opt["out"], params)
-    _json_out({
-        "train_losses": report.train_losses,
-        "val_accuracy": report.val_accuracy,
-        "val_precision": report.val_precision,
-        "val_recall": report.val_recall,
-        "majority_baseline": report.majority_baseline,
-        "n_train": report.n_train,
-        "n_val": report.n_val,
-    })
+    _json_out(asdict(report))
     return 0
 
 
@@ -245,10 +235,6 @@ def _cmd_stable_poses(opt) -> int:
 
 
 def _cmd_reward_trace(opt) -> int:
-    with open(opt["traj"], "r", encoding="utf-8") as fh:
-        traj = json.load(fh)
-    half_extents = np.asarray(traj["half_extents"], dtype=np.float64)
-    com = np.asarray(traj.get("com", [0.0, 0.0, 0.0]), dtype=np.float64)
     params = reward.RewardParams()
 
     def state_of(step) -> reward.ObjectState:
@@ -262,7 +248,14 @@ def _cmd_reward_trace(opt) -> int:
             qdot=np.asarray(step["qdot"], dtype=np.float64),
         )
 
-    states = [state_of(s) for s in traj["steps"]]
+    with open(opt["traj"], "r", encoding="utf-8") as fh:
+        try:
+            traj = json.load(fh)
+            half_extents = np.asarray(traj["half_extents"], dtype=np.float64)
+            com = np.asarray(traj.get("com", [0.0, 0.0, 0.0]), dtype=np.float64)
+            states = [state_of(s) for s in traj["steps"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad trajectory file {opt['traj']}: {exc!r}") from None
     print("step,success,r_success,r_reach,r_contact,energy,total")
     for t in range(1, len(states)):
         nxt = states[t]
@@ -303,10 +296,11 @@ def _read_ascii_cloud(path: Path) -> np.ndarray:
                         raise MeshLoadError("only ascii pcd files are supported")
                     in_header = False
                 continue
-            parts = stripped.split()
-            if len(parts) < 3:
-                raise MeshLoadError(f"bad cloud row: {stripped!r}")
-            rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
+            try:  # fewer than three fields also raises ValueError
+                x, y, z = map(float, stripped.split()[:3])
+            except ValueError:
+                raise MeshLoadError(f"bad cloud row: {stripped!r}") from None
+            rows.append([x, y, z])
     return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
 
 
@@ -342,14 +336,7 @@ def _cmd_attn(opt) -> int:
 
 
 def _cmd_stats(opt) -> int:
-    records = contactgen.read_dataset(opt["data"])
-    stats = contactgen.dataset_stats(records)
-    _json_out({
-        "n_records": stats.n_records,
-        "fraction_records_any_contact": stats.fraction_records_any_contact,
-        "fraction_points_positive": stats.fraction_points_positive,
-        "fraction_patches_positive": stats.fraction_patches_positive,
-    })
+    _print_stats(contactgen.read_dataset(opt["data"]))
     return 0
 
 

@@ -5,11 +5,8 @@ moving the gripper along the nearest surface-to-surface displacement with
 Gaussian noise on the travelled fraction, then labeling 512 object surface
 points by containment in the settled gripper volume. Labels are computed
 from the float32-rounded values that get stored, so re-running containment
-on a stored record reproduces its labels exactly.
-
-Dataset file layout (little-endian): magic "CORN", u32 version, u64 record
-count; per record u32 object_id, u64 seed, 7 x f32 pose (tx,ty,tz,qx,qy,qz,qw),
-u16 n_points, n_points x 3 f32 points, n_points x u8 labels.
+on a stored record reproduces its labels exactly. The dataset file layout is
+in `corn.formats`.
 """
 
 from __future__ import annotations
@@ -20,15 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DegenerateGeometry,
-    EmptyDataset,
-    NotWatertight,
-    SizeMismatch,
-    TruncatedRecord,
-    UnsupportedVersion,
-)
+from .errors import DegenerateGeometry, EmptyDataset, NotWatertight, SizeMismatch
+from .formats import DATASET_FORMAT_VERSION, DATASET_MAGIC, Reader
 from .geom import (
     Aabb,
     Pose,
@@ -40,9 +30,6 @@ from .geom import (
     _readonly,
 )
 from .patches import PatchConfig, PatchSet, make_patches
-
-DATASET_MAGIC = b"CORN"
-DATASET_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
 
@@ -201,7 +188,7 @@ def patch_labels(record: ContactRecord, ps: PatchSet) -> np.ndarray:
 
 def write_dataset(records, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", DATASET_MAGIC, DATASET_VERSION, len(records)))
+        fh.write(struct.pack("<4sIQ", DATASET_MAGIC, DATASET_FORMAT_VERSION, len(records)))
         for rec in records:
             n = len(rec.points)
             if n > 0xFFFF:
@@ -213,30 +200,18 @@ def write_dataset(records, path) -> None:
             fh.write(rec.labels.astype(np.uint8).tobytes())
 
 
-def _read_exact(fh, size, what):
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise TruncatedRecord(f"file ends inside {what}")
-    return buf
-
-
 def read_dataset(path) -> list[ContactRecord]:
-    with open(path, "rb") as fh:
-        header = _read_exact(fh, 16, "header")
-        magic, version, count = struct.unpack("<4sIQ", header)
-        if magic != DATASET_MAGIC:
-            raise BadMagic(f"expected {DATASET_MAGIC!r}, found {magic!r}")
-        if version != DATASET_VERSION:
-            raise UnsupportedVersion(f"dataset version {version} not supported")
-        records = []
-        for _ in range(count):
-            object_id, seed = struct.unpack("<IQ", _read_exact(fh, 12, "record header"))
-            pose7 = np.frombuffer(_read_exact(fh, 28, "pose"), dtype="<f4").copy()
-            (n,) = struct.unpack("<H", _read_exact(fh, 2, "point count"))
-            pts = np.frombuffer(_read_exact(fh, 12 * n, "points"), dtype="<f4").reshape(n, 3).copy()
-            labels = np.frombuffer(_read_exact(fh, n, "labels"), dtype=np.uint8).astype(bool)
-            records.append(ContactRecord(object_id=object_id, seed=seed, pose7=pose7,
-                                         points=pts, labels=labels))
+    r = Reader(path, "dataset")
+    (count,) = r.header(DATASET_MAGIC, DATASET_FORMAT_VERSION, "Q")
+    records = []
+    for _ in range(count):
+        object_id, seed = r.unpack("<IQ", "record header")
+        pose7 = r.array("<f4", 7, "pose")
+        (n,) = r.unpack("<H", "point count")
+        points = r.array("<f4", 3 * n, "points")
+        records.append(ContactRecord(object_id=object_id, seed=seed, pose7=pose7,
+                                     points=points, labels=r.array(np.uint8, n, "labels")))
+    r.end()
     return records
 
 

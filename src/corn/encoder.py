@@ -8,15 +8,12 @@ tokens; a shared MLP decodes each patch token into one contact logit.
 
 Inputs are expressed in an object-centered frame: the cloud is shifted so its
 centroid is at the origin and the hand position is shifted the same way.
-
-Checkpoint layout (little-endian): magic "CKPT", u32 version, then per tensor
-u16 name length, name bytes, u8 rank, u32 dims, f64 values.
+The checkpoint file layout is in `corn.formats`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -25,22 +22,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .contactgen import patch_labels
-from .errors import (
-    BadMagic,
-    DatasetIoError,
-    Divergence,
-    EmptyDataset,
-    NonFiniteGradient,
-    NonFiniteInput,
-    ShapeMismatch,
-    TruncatedRecord,
-    UnsupportedVersion,
-)
+from .errors import Divergence, EmptyDataset, NonFiniteGradient, NonFiniteInput, ShapeMismatch
+from .formats import CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC, Reader
 from .geom import rot_to_6d
 from .patches import PatchConfig, PatchSet, make_patches
-
-CHECKPOINT_MAGIC = b"CKPT"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -381,7 +366,7 @@ def _majority_baseline(labels: np.ndarray) -> float:
 
 def save_checkpoint(path, named_arrays: dict) -> None:
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
+        fh.write(struct.pack("<4sI", CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION))
         for name in sorted(named_arrays):
             arr = np.asarray(
                 named_arrays[name].values if isinstance(named_arrays[name], Tensor)
@@ -396,35 +381,15 @@ def save_checkpoint(path, named_arrays: dict) -> None:
             fh.write(arr.astype("<f8").tobytes())
 
 
-def _read_exact(fh, size, what):
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise TruncatedRecord(f"checkpoint ends inside {what}")
-    return buf
-
-
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    r = Reader(path, "checkpoint")
+    r.header(CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION)
     out = {}
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic, version = struct.unpack("<4sI", _read_exact(fh, 8, "header"))
-        if magic != CHECKPOINT_MAGIC:
-            raise BadMagic(f"expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
-        if version != CHECKPOINT_VERSION:
-            raise UnsupportedVersion(f"checkpoint version {version} not supported")
-        while fh.tell() < size:
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            try:
-                name = _read_exact(fh, name_len, "name").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DatasetIoError(f"checkpoint tensor name is not UTF-8: {exc}") from None
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            nbytes = 8 * math.prod(dims)
-            if nbytes > size - fh.tell():
-                raise TruncatedRecord(f"checkpoint ends inside the {dims} values of {name}")
-            values = np.frombuffer(_read_exact(fh, nbytes, "values"), dtype="<f8")
-            out[name] = values.reshape(dims).copy()
+    while r.left():
+        name = r.name("tensor name")
+        (rank,) = r.unpack("<B", "rank")
+        dims = r.unpack(f"<{rank}I", "dims")
+        out[name] = r.array("<f8", math.prod(dims), f"the {dims} values of {name}").reshape(dims)
     return out
 
 

@@ -5,10 +5,8 @@ workspace crop, table removal, robot removal by convex-hull halfspaces, then
 radius outlier removal and DBSCAN to isolate the object cluster. Tracking
 registers each frame against the previous one (point-to-plane by default) and
 re-registers against the initial cloud every frame, overriding the pose when
-that registration's fitness clears the gate.
-
-Cloud-sequence file (.pcseq, little-endian): magic "PCSQ", u32 version,
-u32 frame count; per frame u32 n then n x 3 f32 points.
+that registration's fitness clears the gate. The cloud-sequence (.pcseq)
+file layout is in `corn.formats`.
 """
 
 from __future__ import annotations
@@ -19,18 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (
-    BadMagic,
-    DegenerateInput,
-    NoCorrespondences,
-    TooFewPoints,
-    TruncatedRecord,
-    UnsupportedVersion,
-)
+from .errors import DegenerateInput, NoCorrespondences, TooFewPoints
+from .formats import PCSEQ_FORMAT_VERSION, PCSEQ_MAGIC, Reader
 from .geom import Aabb, PointCloud, Pose, Rotation, compose
-
-PCSEQ_MAGIC = b"PCSQ"
-PCSEQ_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -361,7 +350,7 @@ def track_step(state: TrackerState, cloud: PointCloud) -> TrackerState:
 
 def write_pcseq(frames, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", PCSEQ_MAGIC, PCSEQ_VERSION, len(frames)))
+        fh.write(struct.pack("<4sII", PCSEQ_MAGIC, PCSEQ_FORMAT_VERSION, len(frames)))
         for frame in frames:
             pts = frame.points if isinstance(frame, PointCloud) else np.asarray(frame)
             pts = np.asarray(pts, dtype="<f4").reshape(-1, 3)
@@ -369,23 +358,12 @@ def write_pcseq(frames, path) -> None:
             fh.write(pts.tobytes())
 
 
-def _read_exact(fh, size, what):
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise TruncatedRecord(f"sequence file ends inside {what}")
-    return buf
-
-
 def read_pcseq(path) -> list[PointCloud]:
-    with open(path, "rb") as fh:
-        magic, version, count = struct.unpack("<4sII", _read_exact(fh, 12, "header"))
-        if magic != PCSEQ_MAGIC:
-            raise BadMagic(f"expected {PCSEQ_MAGIC!r}, found {magic!r}")
-        if version != PCSEQ_VERSION:
-            raise UnsupportedVersion(f"pcseq version {version} not supported")
-        frames = []
-        for _ in range(count):
-            (n,) = struct.unpack("<I", _read_exact(fh, 4, "frame size"))
-            pts = np.frombuffer(_read_exact(fh, 12 * n, "frame points"), dtype="<f4")
-            frames.append(PointCloud(pts.reshape(n, 3).astype(np.float64)))
+    r = Reader(path, "pcseq")
+    (count,) = r.header(PCSEQ_MAGIC, PCSEQ_FORMAT_VERSION, "I")
+    frames = []
+    for _ in range(count):
+        (n,) = r.unpack("<I", "frame size")
+        frames.append(PointCloud(r.array("<f4", 3 * n, "frame points")))
+    r.end()
     return frames

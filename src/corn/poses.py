@@ -85,17 +85,6 @@ def _remove_yaw(r: Rotation) -> Rotation:
     return Rotation.from_axis_angle([0.0, 0.0, -yaw]).compose(r)
 
 
-def _yaw_distance(a: Rotation, b: Rotation) -> float:
-    """Distance of a b^-1 from the pure-yaw family.
-
-    a = Rz(t) b for some t exactly when the relative rotation fixes the world
-    z-axis, so the deviation of (a b^-1) z from z measures class distance
-    without any yaw extraction (which is ambiguous at gimbal lock).
-    """
-    v = a.compose(b.inverse()).apply([0.0, 0.0, 1.0])
-    return float(np.linalg.norm(v - [0.0, 0.0, 1.0]))
-
-
 def _polygon_margin(polygon: np.ndarray, point: np.ndarray) -> float:
     """Signed distance from point to the CCW convex polygon edge (inside > 0)."""
     margins = []
@@ -119,6 +108,10 @@ def stable_orientations(mesh, margin_min: float = 0.002) -> list[StablePose]:
     hull = ConvexHull(mesh.vertices)
     hull_pts = mesh.vertices[hull.vertices]
 
+    # a = Rz(t) b exactly when (a b^-1) z = z, and |(a b^-1) z - z| equals
+    # |a^T z - b^T z|, so classes compare by the third matrix rows (no yaw
+    # extraction, which is ambiguous at gimbal lock)
+    kept_rows = np.empty((0, 3))
     poses: list[StablePose] = []
     for eq in hull.equations:  # outward [normal | offset]
         normal = eq[:3] / np.linalg.norm(eq[:3])
@@ -136,8 +129,10 @@ def stable_orientations(mesh, margin_min: float = 0.002) -> list[StablePose]:
         margin = _polygon_margin(polygon, orientation.apply(com)[:2])
         if margin < margin_min:
             continue
-        if any(_yaw_distance(orientation, p.orientation) < YAW_DEDUP_TOL for p in poses):
+        row = orientation.as_matrix()[2]
+        if (np.linalg.norm(kept_rows - row, axis=1) < YAW_DEDUP_TOL).any():
             continue
+        kept_rows = np.vstack([kept_rows, row])
         poses.append(StablePose(orientation=orientation, rest_height=float(-min_z),
                                 support_polygon=polygon, margin=float(margin)))
     poses.sort(key=lambda p: (p.rest_height, tuple(p.orientation.quat)))

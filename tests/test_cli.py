@@ -10,6 +10,7 @@ import pytest
 
 from corn import shapes
 from corn.cli import dispatch
+from corn.encoder import EncoderConfig, init_encoder_params, save_checkpoint
 from corn.geom import Pose, Rotation, save_obj, sample_surface_points
 from corn.percept import write_pcseq
 
@@ -197,17 +198,52 @@ def test_domain_error_exit_code(capsys):
     assert err
 
 
+def corn_subprocess(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "corn.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("name, dims", [(b"tok.w1", (2**32 - 1,) * 4), (b"\xff", (1,))])
 def test_attn_on_malformed_checkpoint_exits_one(assets, tmp_path, name, dims):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_bytes(struct.pack("<4sIH", b"CKPT", 1, len(name)) + name
                      + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + bytes(64))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "corn.cli", "attn", "--ckpt", str(ckpt),
-                           "--cloud", str(assets / "objects" / "cube.obj"),
-                           "--pose", "0 0 0.1 0 0 0 1"], capture_output=True, text=True, env=env)
+    done = corn_subprocess("attn", "--ckpt", ckpt, "--cloud", assets / "objects" / "cube.obj",
+                           "--pose", "0 0 0.1 0 0 0 1")
     assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.fixture(scope="module")
+def malformed(assets, tmp_path_factory):
+    root = tmp_path_factory.mktemp("malformed")
+    (root / "many.json").write_text(json.dumps({"track.n-track": "many"}))
+    (root / "not.json").write_text("{track.n-track: 5")
+    (root / "traj.json").write_text(json.dumps({"steps": []}))
+    (root / "cloud.xyz").write_text("0 0 0\n1 two 3\n")
+    save_checkpoint(root / "model.ckpt", init_encoder_params(EncoderConfig(), seed=0))
+    return root
+
+
+TRACK = ("track", "--seq", "{assets}/motion.pcseq", "--init-pose", "0 0 0 0 0 0 1")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("track", "--seq", "{assets}/motion.pcseq", "--init-pose", "abc"), 1),
+    ((*TRACK, "--config", "{bad}/many.json"), 2),
+    ((*TRACK, "--config", "{bad}/not.json"), 2),
+    ((*TRACK, "--config", "{bad}/missing.json"), 2),
+    (("reward-trace", "--traj", "{bad}/traj.json"), 1),
+    (("attn", "--ckpt", "{bad}/model.ckpt", "--cloud", "{bad}/cloud.xyz", "--pose", "0 0 0.1 0 0 0 1"), 1),
+], ids=["init-pose", "config-type", "config-not-json", "config-missing", "traj-no-half-extents",
+        "xyz-not-numeric"])
+def test_malformed_input_prints_error_not_traceback(assets, malformed, argv, code):
+    done = corn_subprocess(*(a.format(assets=assets, bad=malformed) for a in argv))
+    assert done.returncode == code, done.stderr
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
     assert done.stdout == ""
 

@@ -5,12 +5,23 @@ from corn import shapes
 from corn.errors import NonPositiveVolume, NotWatertight, WorkspaceTooSmall
 from corn.geom import Aabb, Rotation, TriMesh
 from corn.poses import (
+    YAW_DEDUP_TOL,
     _polygon_margin,
-    _yaw_distance,
     com_and_volume,
     sample_episode,
     stable_orientations,
 )
+
+
+def _yaw_distance(a: Rotation, b: Rotation) -> float:
+    """Distance of a b^-1 from the pure-yaw family.
+
+    a = Rz(t) b for some t exactly when the relative rotation fixes the world
+    z-axis, so the deviation of (a b^-1) z from z measures class distance
+    without any yaw extraction (which is ambiguous at gimbal lock).
+    """
+    v = a.compose(b.inverse()).apply([0.0, 0.0, 1.0])
+    return float(np.linalg.norm(v - [0.0, 0.0, 1.0]))
 
 
 # ------------------------------------------------------------ mass properties
@@ -126,6 +137,16 @@ def test_yaw_invariance_of_class_count():
         yaw = Rotation.from_axis_angle([0, 0, rng.uniform(0, 2 * np.pi)])
         spun = TriMesh(yaw.apply(mesh.vertices), mesh.faces)
         assert len(stable_orientations(spun, margin_min=0.002)) == base_count
+
+
+@pytest.mark.parametrize("mesh, count", [(shapes.icosphere(0.05, 2), 320),
+                                         (shapes.cylinder(0.03, 0.08), 34)])
+def test_kept_classes_are_yaw_distinct(mesh, count):
+    found = stable_orientations(mesh, margin_min=0.002)
+    assert len(found) == count
+    for i, a in enumerate(found):
+        for b in found[:i]:
+            assert _yaw_distance(a.orientation, b.orientation) >= YAW_DEDUP_TOL
 
 
 def test_stable_orientations_requires_watertight():
