@@ -81,6 +81,10 @@ _OPTIONS = {
 }
 
 
+# the JSON values a config file may give an option of each type (bool excluded)
+_JSON_TYPES = {str: str, int: int, float: (int, float)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corn",
@@ -120,12 +124,11 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             sub, _, opt = key.partition(".")
             if sub not in _OPTIONS or opt not in _OPTIONS[sub]:
                 raise ConfigError(f"unknown config key {key!r}")
+            typ = _OPTIONS[sub][opt][0]
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[typ]):
+                raise ConfigError(f"config key {key!r} must be {typ.__name__}, got {value!r}")
             if sub == command:
-                typ = _OPTIONS[sub][opt][0]
-                try:
-                    merged[opt] = typ(value)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"config key {key!r} must be {typ.__name__}, got {value!r}") from None
+                merged[opt] = typ(value)
     for opt in _OPTIONS[command]:
         flag_value = getattr(args, opt.replace("-", "_"))
         if flag_value is not None:
@@ -312,7 +315,9 @@ def _cmd_attn(opt) -> int:
     )
     policy_arrays = {k[len("policy."):]: v for k, v in arrays.items() if k.startswith("policy.")}
     pcfg = policyhead.PolicyConfig()
-    policy_params = policy_arrays if policy_arrays else policyhead.init_policy_params(pcfg, seed=0)
+    policy_params = policyhead.init_policy_params(pcfg, seed=0)
+    if policy_arrays:
+        policy_params = encoder.checked_arrays(policy_arrays, policy_params)
 
     pts = _load_cloud_512(opt["cloud"], opt["seed"])
     centroid = pts.mean(axis=0)

@@ -393,16 +393,19 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return out
 
 
-def params_from_arrays(arrays: dict, cfg: EncoderConfig = EncoderConfig()) -> dict[str, Tensor]:
-    reference = init_encoder_params(cfg, seed=0)
-    params = {}
+def checked_arrays(arrays: dict, reference: dict) -> dict[str, np.ndarray]:
+    """The arrays named in `reference`, as float64; ShapeMismatch when one is
+    missing or shaped unlike its reference array."""
+    out = {}
     for name, ref in reference.items():
         if name not in arrays:
             raise ShapeMismatch(f"checkpoint is missing tensor {name}")
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != ref.values.shape:
-            raise ShapeMismatch(
-                f"{name}: checkpoint shape {arr.shape} != expected {ref.values.shape}"
-            )
-        params[name] = Tensor(arr)
-    return params
+        arr = out[name] = np.asarray(arrays[name], dtype=np.float64)
+        if arr.shape != ref.shape:
+            raise ShapeMismatch(f"{name}: checkpoint shape {arr.shape} != expected {ref.shape}")
+    return out
+
+
+def params_from_arrays(arrays: dict, cfg: EncoderConfig = EncoderConfig()) -> dict[str, Tensor]:
+    reference = {name: t.values for name, t in init_encoder_params(cfg, seed=0).items()}
+    return {name: Tensor(arr) for name, arr in checked_arrays(arrays, reference).items()}

@@ -15,6 +15,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateInput, NoCorrespondences, TooFewPoints
@@ -107,49 +109,28 @@ def dbscan(cloud, eps: float, min_pts: int) -> np.ndarray:
     if eps <= 0:
         raise DegenerateInput("eps must be > 0")
     n = len(pts)
-    labels = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return labels
-    tree = cKDTree(pts)
-    neighbors = tree.query_ball_point(pts, eps)
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+    core = 1 + np.bincount(pairs.ravel(), minlength=n) >= min_pts
+    core_pairs = pairs[core[pairs[:, 0]] & core[pairs[:, 1]]]
+    graph = coo_matrix((np.ones(len(core_pairs)), core_pairs.T), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    labels = np.where(core, component, -1).astype(np.int64)
 
-    # connected components over core points only
-    component = np.full(n, -1, dtype=np.int64)
-    n_comp = 0
-    for start in range(n):
-        if not core[start] or component[start] != -1:
-            continue
-        component[start] = n_comp
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in neighbors[i]:
-                if core[j] and component[j] == -1:
-                    component[j] = n_comp
-                    queue.append(j)
-        n_comp += 1
-
-    labels[core] = component[core]
-    for i in range(n):
-        if core[i]:
-            continue
-        best = None
-        for j in neighbors[i]:
-            if not core[j]:
-                continue
-            key = (float(np.linalg.norm(pts[i] - pts[j])), tuple(pts[j]))
-            if best is None or key < best[0]:
-                best = (key, int(component[j]))
-        if best is not None:
-            labels[i] = best[1]
+    # each border point joins the core of its first (border, core) pair in
+    # (distance, core x, y, z) order; the distance is the norm of each pair's
+    # difference vector, because norm(..., axis=1) rounds differently
+    mixed = pairs[core[pairs[:, 0]] != core[pairs[:, 1]]]
+    border, near = mixed[~core[mixed]], mixed[core[mixed]]
+    dist = [np.linalg.norm(d) for d in pts[border] - pts[near]]
+    order = np.lexsort((*pts[near].T[::-1], dist, border))
+    first = order[np.diff(border[order], prepend=-1) != 0]
+    labels[border[first]] = component[near[first]]
 
     # final canonical numbering: clusters ordered by lowest member index
-    remap = {}
-    for i in range(n):
-        if labels[i] >= 0 and labels[i] not in remap:
-            remap[labels[i]] = len(remap)
-    return np.array([remap[l] if l >= 0 else -1 for l in labels], dtype=np.int64)
+    member = labels >= 0
+    _, lowest, inverse = np.unique(labels[member], return_index=True, return_inverse=True)
+    labels[member] = np.argsort(np.argsort(lowest))[inverse]
+    return labels
 
 
 def segment_object(cloud: PointCloud, cfg: SegmentationConfig, hulls=()) -> PointCloud:

@@ -123,8 +123,10 @@ def ellipsoid(semi_axes, subdivisions: int = 1, center=(0.0, 0.0, 0.0)) -> TriMe
 
 
 def merge(meshes) -> TriMesh:
-    """Concatenate meshes into one. Components must be disjoint for containment
-    queries to stay meaningful."""
+    """Concatenate meshes into one, without any boolean union. Parity
+    containment (`geom.points_in_mesh`) is exact only where the components do
+    not overlap: a point inside two of them crosses two surfaces and counts as
+    outside."""
     verts, faces, offset = [], [], 0
     for m in meshes:
         verts.append(m.vertices)
@@ -137,8 +139,11 @@ def two_finger_gripper() -> TriMesh:
     """Closed parallel-jaw gripper envelope: rounded palm plus two finger blocks.
 
     Proportions loosely follow a table-top robot hand in its closed
-    configuration. Components are separated by small gaps so the merged mesh
-    stays edge-manifold and parity containment remains exact.
+    configuration. The components are not disjoint: the palm (bottom at
+    z = 0.02) overlaps both fingers (top at z = 0.0375), so parity containment
+    calls a point inside the palm and a finger outside, for example
+    `points_in_mesh([[0, 0.028, 0.03]], two_finger_gripper())` is `[False]`.
+    ROADMAP item 1 plans the nonzero winding rule that counts it inside.
     """
     palm = ellipsoid((0.05, 0.09, 0.055), subdivisions=1, center=(0.0, 0.0, 0.075))
     left = box((0.05, 0.025, 0.075), center=(0.0, -0.028, 0.0))

@@ -13,6 +13,7 @@ from corn.cli import dispatch
 from corn.encoder import EncoderConfig, init_encoder_params, save_checkpoint
 from corn.geom import Pose, Rotation, save_obj, sample_surface_points
 from corn.percept import write_pcseq
+from corn.policyhead import PolicyConfig, init_policy_params
 
 
 @pytest.fixture(scope="module")
@@ -225,11 +226,19 @@ def malformed(assets, tmp_path_factory):
     (root / "not.json").write_text("{track.n-track: 5")
     (root / "traj.json").write_text(json.dumps({"steps": []}))
     (root / "cloud.xyz").write_text("0 0 0\n1 two 3\n")
-    save_checkpoint(root / "model.ckpt", init_encoder_params(EncoderConfig(), seed=0))
+    (root / "count.json").write_text(json.dumps({"gen-data.count": 2.9}))
+    (root / "seed.json").write_text(json.dumps({"track.seed": True}))
+    (root / "null.json").write_text(json.dumps({"stats.data": None}))
+    encoder_params = init_encoder_params(EncoderConfig(), seed=0)
+    save_checkpoint(root / "model.ckpt", encoder_params)
+    query_w1 = init_policy_params(PolicyConfig(), seed=0)["query.w1"]
+    save_checkpoint(root / "partial.ckpt", {**encoder_params, "policy.query.w1": query_w1})
     return root
 
 
 TRACK = ("track", "--seq", "{assets}/motion.pcseq", "--init-pose", "0 0 0 0 0 0 1")
+GEN_DATA = ("gen-data", "--objects", "{assets}/objects", "--gripper", "{assets}/gripper.obj",
+            "--out", "{bad}/count.corn")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -239,8 +248,14 @@ TRACK = ("track", "--seq", "{assets}/motion.pcseq", "--init-pose", "0 0 0 0 0 0 
     ((*TRACK, "--config", "{bad}/missing.json"), 2),
     (("reward-trace", "--traj", "{bad}/traj.json"), 1),
     (("attn", "--ckpt", "{bad}/model.ckpt", "--cloud", "{bad}/cloud.xyz", "--pose", "0 0 0.1 0 0 0 1"), 1),
+    ((*GEN_DATA, "--config", "{bad}/count.json"), 2),
+    ((*TRACK, "--config", "{bad}/seed.json"), 2),
+    (("stats", "--config", "{bad}/null.json"), 2),
+    (("attn", "--ckpt", "{bad}/partial.ckpt", "--cloud", "{assets}/objects/cube.obj",
+      "--pose", "0 0 0.1 0 0 0 1"), 1),
 ], ids=["init-pose", "config-type", "config-not-json", "config-missing", "traj-no-half-extents",
-        "xyz-not-numeric"])
+        "xyz-not-numeric", "config-float-for-int", "config-bool-for-int", "config-null-for-str",
+        "ckpt-partial-policy"])
 def test_malformed_input_prints_error_not_traceback(assets, malformed, argv, code):
     done = corn_subprocess(*(a.format(assets=assets, bad=malformed) for a in argv))
     assert done.returncode == code, done.stderr

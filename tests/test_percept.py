@@ -192,6 +192,25 @@ def test_dbscan_matches_reference_many_seeds():
         assert np.array_equal(got, want), seed
 
 
+def test_dbscan_border_tie_break_and_numbering():
+    # eps 1, min_pts 4: a chain of four points 0.3 apart is a cluster of cores,
+    # and a point 0.9 beyond either end of it is a border point
+    chain = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.6, 0.0, 0.0], [0.9, 0.0, 0.0]])
+    right = chain + [0.9, 0.0, 0.0]
+    pts = np.vstack([
+        [-0.9, 0.0, 20.0],          # 0: border of the cluster at z = 20
+        right,                      # 1-4
+        -right,                     # 5-8: the mirror image of 1-4
+        [0.0, 0.0, 0.0],            # 9: border 0.9 from both cores 1 and 5
+        chain + [0.0, 0.0, 20.0],   # 10-13: the cores of point 0's cluster
+    ])
+    labels = dbscan(pts, eps=1.0, min_pts=4)
+    # point 0 gives its cluster number 0 although that cluster's cores come
+    # last; point 9 joins core 5 at (-0.9, 0, 0), below core 1 at (0.9, 0, 0)
+    assert labels.tolist() == [0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 0, 0, 0, 0]
+    assert np.array_equal(labels, reference_dbscan(pts, 1.0, 4))
+
+
 def test_dbscan_partition_independent_of_order():
     rng = np.random.default_rng(6)
     pts = np.vstack([
