@@ -84,6 +84,9 @@ _OPTIONS = {
 # the JSON values a config file may give an option of each type (bool excluded)
 _JSON_TYPES = {str: str, int: int, float: (int, float)}
 
+# lower bounds of the options of these names, in every subcommand that has one
+_MINIMUM = {"seed": 0, "count": 1}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -136,6 +139,9 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     missing = [o for o, value in merged.items() if value is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
+    for opt, low in _MINIMUM.items():
+        if merged.get(opt, low) < low:
+            raise ConfigError(f"--{opt} must be at least {low}, got {merged[opt]}")
     return merged
 
 
@@ -287,23 +293,26 @@ def _load_cloud_512(path: str, seed: int) -> np.ndarray:
 def _read_ascii_cloud(path: Path) -> np.ndarray:
     """Minimal ascii .pcd (x y z leading fields) or plain .xyz reader."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        in_header = path.suffix.lower() == ".pcd"
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if in_header:
-                if stripped.upper().startswith("DATA"):
-                    if "ascii" not in stripped.lower():
-                        raise MeshLoadError("only ascii pcd files are supported")
-                    in_header = False
-                continue
-            try:  # fewer than three fields also raises ValueError
-                x, y, z = map(float, stripped.split()[:3])
-            except ValueError:
-                raise MeshLoadError(f"bad cloud row: {stripped!r}") from None
-            rows.append([x, y, z])
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise MeshLoadError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    in_header = path.suffix.lower() == ".pcd"
+    for line in lines:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if in_header:
+            if stripped.upper().startswith("DATA"):
+                if "ascii" not in stripped.lower():
+                    raise MeshLoadError("only ascii pcd files are supported")
+                in_header = False
+            continue
+        try:  # fewer than three fields also raises ValueError
+            x, y, z = map(float, stripped.split()[:3])
+        except ValueError:
+            raise MeshLoadError(f"bad cloud row: {stripped!r}") from None
+        rows.append([x, y, z])
     return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
 
 

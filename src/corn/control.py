@@ -147,7 +147,7 @@ def ik(chain: SerialChain, q, target_residual: Pose, cfg: IkConfig = IkConfig())
     is returned with no_progress set.
     """
     q = np.asarray(q, dtype=np.float64).reshape(chain.n_joints).copy()
-    frames = _frames(chain, q)  # of the accepted q; only line-search candidates call fk
+    frames = _frames(chain, q)  # of the accepted q, kept from the line search
     start = frames[2]
     target = Pose(start.translation + target_residual.translation,
                   target_residual.rotation.compose(start.rotation))
@@ -165,21 +165,19 @@ def ik(chain: SerialChain, q, target_residual: Pose, cfg: IkConfig = IkConfig())
         if pos_err <= cfg.pos_tolerance and rot_err <= cfg.rot_tolerance:
             iterations -= 1
             break
-        if frames is None:
-            frames = _frames(chain, q)
         e_t, e_r = _twist_error(target, frames[2])
         step = dls_step(_jacobian_of(*frames), np.concatenate([e_t, e_r]), cfg.damping)
         step = np.clip(step, -cfg.step_clamp, cfg.step_clamp)
-        improved = False
         for _ in range(9):
             candidate = q + step
-            p, r = error_of(fk(chain, candidate))
+            candidate_frames = _frames(chain, candidate)
+            p, r = error_of(candidate_frames[2])
             if p + weight * r < combined:
-                q, pos_err, rot_err, combined = candidate, p, r, p + weight * r
-                frames, improved = None, True
+                q, frames = candidate, candidate_frames
+                pos_err, rot_err, combined = p, r, p + weight * r
                 break
             step = step * 0.5
-        if not improved:
+        else:
             no_progress = True
             break
     converged = pos_err <= cfg.pos_tolerance and rot_err <= cfg.rot_tolerance

@@ -22,7 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .contactgen import patch_labels
-from .errors import Divergence, EmptyDataset, NonFiniteGradient, NonFiniteInput, ShapeMismatch
+from .errors import (DegenerateInput, Divergence, EmptyDataset, NonFiniteGradient,
+                     NonFiniteInput, ShapeMismatch)
 from .formats import CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC, Reader
 from .geom import rot_to_6d
 from .patches import PatchConfig, PatchSet, make_patches
@@ -203,14 +204,18 @@ class TrainConfig:
     epochs: int = 10
     lr: float = 1e-3
     batch_size: int = 32
-    weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     val_fraction: float = 0.1
     warmup_steps: int = 0
     cosine_decay: bool = False
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise DegenerateInput(f"batch size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise DegenerateInput(f"epochs must be >= 0, got {self.epochs}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise DegenerateInput(f"learning rate must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -228,6 +233,10 @@ class TrainReport:
 # meters are two orders of magnitude below unit scale, which stalls
 # optimization of the geometric decision boundary.
 FEATURE_SCALE = 10.0
+
+# AdamW's fixed hyperparameters; the decay applies to weight matrices only
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+WEIGHT_DECAY = 1e-4
 
 
 def record_features(records, patch_cfg: PatchConfig = PatchConfig()):
@@ -329,22 +338,22 @@ def train(params, records, train_cfg: TrainConfig = TrainConfig(),
             elif train_cfg.cosine_decay:
                 done = (step - train_cfg.warmup_steps) / max(1, total_steps - train_cfg.warmup_steps)
                 lr *= 0.5 * (1.0 + np.cos(np.pi * min(done, 1.0)))
-            bc1 = 1.0 - train_cfg.beta1**step
-            bc2 = 1.0 - train_cfg.beta2**step
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
             # in place, in the order of (m / bc1) / (sqrt(v / bc2) + eps): fresh
             # arrays for every operation cost page faults on large tensors
             for name, p in params.items():
                 g, m, v = grads[name], m_state[name], v_state[name]
-                m *= train_cfg.beta1
-                m += (1 - train_cfg.beta1) * g
-                v *= train_cfg.beta2
-                v += (1 - train_cfg.beta2) * g * g
+                m *= ADAM_BETA1
+                m += (1 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1 - ADAM_BETA2) * g * g
                 denom = np.sqrt(v / bc2)
-                denom += train_cfg.adam_eps
+                denom += ADAM_EPS
                 update = m / bc1
                 update /= denom
                 if name.rsplit(".", 1)[-1].startswith("w"):
-                    update += train_cfg.weight_decay * p.values
+                    update += WEIGHT_DECAY * p.values
                 update *= lr
                 p.values -= update
         report.train_losses.append(float(np.mean(losses)))
@@ -395,7 +404,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 def checked_arrays(arrays: dict, reference: dict) -> dict[str, np.ndarray]:
     """The arrays named in `reference`, as float64; ShapeMismatch when one is
-    missing or shaped unlike its reference array."""
+    missing or shaped unlike its reference array, NonFiniteInput when one
+    holds a NaN or an infinity."""
     out = {}
     for name, ref in reference.items():
         if name not in arrays:
@@ -403,6 +413,8 @@ def checked_arrays(arrays: dict, reference: dict) -> dict[str, np.ndarray]:
         arr = out[name] = np.asarray(arrays[name], dtype=np.float64)
         if arr.shape != ref.shape:
             raise ShapeMismatch(f"{name}: checkpoint shape {arr.shape} != expected {ref.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteInput(f"{name}: checkpoint tensor is not finite")
     return out
 
 

@@ -369,28 +369,32 @@ def load_obj(path) -> TriMesh:
     all other line types are ignored.
     """
     vertices, faces = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                if len(parts) != 4:
-                    raise MeshLoadError(f"{path}:{lineno}: malformed vertex line")
-                try:
-                    vertices.append([float(x) for x in parts[1:]])
-                except ValueError as exc:
-                    raise MeshLoadError(f"{path}:{lineno}: bad vertex coordinate") from exc
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise MeshLoadError(f"{path}:{lineno}: face must have exactly 3 indices")
-                try:
-                    idx = [int(x) for x in parts[1:]]
-                except ValueError as exc:
-                    raise MeshLoadError(f"{path}:{lineno}: face indices must be integers") from exc
-                if any(i < 1 for i in idx):
-                    raise MeshLoadError(f"{path}:{lineno}: face indices are 1-based")
-                faces.append([i - 1 for i in idx])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise MeshLoadError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            if len(parts) != 4:
+                raise MeshLoadError(f"{path}:{lineno}: malformed vertex line")
+            try:
+                vertices.append([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise MeshLoadError(f"{path}:{lineno}: bad vertex coordinate") from exc
+        elif parts[0] == "f":
+            if len(parts) != 4:
+                raise MeshLoadError(f"{path}:{lineno}: face must have exactly 3 indices")
+            try:
+                idx = [int(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise MeshLoadError(f"{path}:{lineno}: face indices must be integers") from exc
+            if any(i < 1 for i in idx):
+                raise MeshLoadError(f"{path}:{lineno}: face indices are 1-based")
+            faces.append([i - 1 for i in idx])
     return TriMesh(np.array(vertices, dtype=np.float64).reshape(-1, 3),
                    np.array(faces, dtype=np.int64).reshape(-1, 3))
 

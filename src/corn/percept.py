@@ -171,6 +171,9 @@ def estimate_normals(cloud: PointCloud, k: int = 16, viewpoint=(0.0, 0.0, 10.0))
 # ---------------------------------------------------------------------- icp
 
 
+ICP_MODES = ("point_to_plane", "point_to_point")
+
+
 def _kabsch(src: np.ndarray, dst: np.ndarray) -> Pose:
     """Closed-form rigid alignment of paired points (orthogonal Procrustes)."""
     mu_s, mu_d = src.mean(axis=0), dst.mean(axis=0)
@@ -190,19 +193,28 @@ def _plane_step(src: np.ndarray, dst: np.ndarray, normals: np.ndarray) -> Pose:
     return Pose(x[3:], Rotation.from_axis_angle(x[:3]))
 
 
-def _icp_full(src: PointCloud, tgt: PointCloud, init: Pose, mode: str,
-              iters: int, tol: float, max_corr_dist: float):
-    """ICP core; returns (pose, fitness, accepted residual history)."""
-    if mode not in ("point_to_plane", "point_to_point"):
+def icp(src: PointCloud, tgt: PointCloud, init: Pose = Pose.identity(),
+        mode: str = "point_to_plane", iters: int = 30, tol: float = 1e-8,
+        max_corr_dist: float = 0.01):
+    """Iterative closest point from src onto tgt.
+
+    Returns (pose, fitness): the last accepted pose, which maps src points onto
+    tgt, and the fraction of src points with a correspondence within
+    max_corr_dist at that pose. The accepted mean correspondence residual
+    never increases; a step that would increase it is rejected and iteration
+    stops. At most `iters` (>= 1) poses are evaluated.
+    """
+    if mode not in ICP_MODES:
         raise DegenerateInput(f"unknown icp mode {mode!r}")
+    if iters < 1:
+        raise DegenerateInput("icp needs at least one iteration")
     if len(src) == 0 or len(tgt) == 0:
         raise NoCorrespondences("empty cloud")
     if mode == "point_to_plane" and tgt.normals is None:
         raise DegenerateInput("point-to-plane icp needs target normals")
     tree = cKDTree(tgt.points)
     current = init
-    best = init
-    residuals: list[float] = []
+    accepted = np.inf  # mean residual of the last accepted pose; the first is always accepted
     for _ in range(iters):
         moved = current.apply(src.points)
         dist, idx = tree.query(moved, distance_upper_bound=max_corr_dist)
@@ -216,37 +228,18 @@ def _icp_full(src: PointCloud, tgt: PointCloud, init: Pose, mode: str,
             residual = float(np.mean(np.abs(np.einsum("nk,nk->n", pairs_src - pairs_dst, normals))))
         else:
             residual = float(np.mean(dist[mask]))
-        if residuals and residual > residuals[-1] + 1e-15:
-            current = best  # reject the step that made things worse
+        if residual > accepted + 1e-15:
+            break  # reject the step that made things worse
+        best, fitness = current, float(np.mean(mask))
+        if accepted - residual < tol:
             break
-        residuals.append(residual)
-        best = current
-        if len(residuals) >= 2 and residuals[-2] - residuals[-1] < tol:
-            break
+        accepted = residual
         if mode == "point_to_plane":
             update = _plane_step(pairs_src, pairs_dst, normals)
         else:
             update = _kabsch(pairs_src, pairs_dst)
         current = compose(update, current)
-    else:
-        current = best if residuals else current
-    dist, _ = tree.query(current.apply(src.points), distance_upper_bound=max_corr_dist)
-    fitness = float(np.mean(np.isfinite(dist)))
-    return current, fitness, residuals
-
-
-def icp(src: PointCloud, tgt: PointCloud, init: Pose = Pose.identity(),
-        mode: str = "point_to_plane", iters: int = 30, tol: float = 1e-8,
-        max_corr_dist: float = 0.01):
-    """Iterative closest point from src onto tgt.
-
-    Returns (pose, fitness) where pose maps src points onto tgt and fitness is
-    the fraction of src points with a correspondence within max_corr_dist at
-    convergence. The accepted mean correspondence residual never increases; a
-    step that would increase it is rejected and iteration stops.
-    """
-    pose, fitness, _ = _icp_full(src, tgt, init, mode, iters, tol, max_corr_dist)
-    return pose, fitness
+    return best, fitness
 
 
 # ------------------------------------------------------------------ tracking
@@ -262,7 +255,6 @@ class TrackerState:
     corr_dist: float = 0.01
     n_track: int = 2048
     mode: str = "point_to_plane"
-    normal_k: int = 16
     seed: int = 0
     lost: bool = False
     last_fitness: float = 1.0
@@ -272,15 +264,16 @@ class TrackerState:
 def init_tracker(initial_cloud: PointCloud, initial_pose: Pose,
                  cfg: SegmentationConfig = SegmentationConfig(),
                  mode: str = "point_to_plane", corr_dist: float = 0.01,
-                 fitness_threshold: float = 0.6, seed: int = 0,
-                 normal_k: int = 16) -> TrackerState:
+                 fitness_threshold: float = 0.6, seed: int = 0) -> TrackerState:
+    if mode not in ICP_MODES:
+        raise DegenerateInput(f"unknown icp mode {mode!r}")
     cloud = _subsample(initial_cloud, cfg.n_track, np.random.default_rng(seed))
     if cloud.normals is None:
-        cloud = estimate_normals(cloud, normal_k)
+        cloud = estimate_normals(cloud)
     return TrackerState(pose=initial_pose, initial_pose=initial_pose,
                         initial_cloud=cloud, previous_cloud=cloud,
                         fitness_threshold=fitness_threshold, corr_dist=corr_dist,
-                        n_track=cfg.n_track, mode=mode, normal_k=normal_k, seed=seed)
+                        n_track=cfg.n_track, mode=mode, seed=seed)
 
 
 def _subsample(cloud: PointCloud, n: int, rng) -> PointCloud:
@@ -322,7 +315,7 @@ def track_step(state: TrackerState, cloud: PointCloud) -> TrackerState:
         state.lost = True
         return state
     state.lost = False
-    state.previous_cloud = sub if sub.normals is not None else estimate_normals(sub, state.normal_k)
+    state.previous_cloud = sub if sub.normals is not None else estimate_normals(sub)
     return state
 
 

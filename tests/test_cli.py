@@ -10,6 +10,7 @@ import pytest
 
 from corn import shapes
 from corn.cli import dispatch
+from corn.contactgen import ContactRecord, write_dataset
 from corn.encoder import EncoderConfig, init_encoder_params, save_checkpoint
 from corn.geom import Pose, Rotation, save_obj, sample_surface_points
 from corn.percept import write_pcseq
@@ -233,12 +234,19 @@ def malformed(assets, tmp_path_factory):
     save_checkpoint(root / "model.ckpt", encoder_params)
     query_w1 = init_policy_params(PolicyConfig(), seed=0)["query.w1"]
     save_checkpoint(root / "partial.ckpt", {**encoder_params, "policy.query.w1": query_w1})
+    save_checkpoint(root / "nan.ckpt", {k: np.full_like(t.values, np.nan) for k, t in encoder_params.items()})
+    record = ContactRecord(0, 0, Pose.identity().to_seven(), np.zeros((512, 3)), np.zeros(512))
+    write_dataset([record], root / "one.corn")
+    (root / "latin1.obj").write_bytes(b"v 0 0 0\n# caf\xe9\n")
+    (root / "latin1.xyz").write_bytes(b"0 0 0\n\xff\n")
     return root
 
 
 TRACK = ("track", "--seq", "{assets}/motion.pcseq", "--init-pose", "0 0 0 0 0 0 1")
 GEN_DATA = ("gen-data", "--objects", "{assets}/objects", "--gripper", "{assets}/gripper.obj",
             "--out", "{bad}/count.corn")
+TRAIN = ("train", "--data", "{bad}/one.corn", "--out", "{bad}/trained.ckpt")
+ATTN = ("attn", "--ckpt", "{bad}/model.ckpt", "--pose", "0 0 0.1 0 0 0 1")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -253,9 +261,26 @@ GEN_DATA = ("gen-data", "--objects", "{assets}/objects", "--gripper", "{assets}/
     (("stats", "--config", "{bad}/null.json"), 2),
     (("attn", "--ckpt", "{bad}/partial.ckpt", "--cloud", "{assets}/objects/cube.obj",
       "--pose", "0 0 0.1 0 0 0 1"), 1),
+    ((*TRAIN, "--batch", "0"), 1),
+    ((*TRAIN, "--batch", "-3"), 1),
+    ((*TRAIN, "--epochs", "-1"), 1),
+    ((*TRAIN, "--lr", "nan", "--epochs", "1"), 1),
+    (("eval", "--data", "{bad}/one.corn", "--ckpt", "{bad}/nan.ckpt"), 1),
+    ((*GEN_DATA, "--seed", "-1"), 2),
+    ((*TRAIN, "--seed", "-1"), 2),
+    ((*TRACK, "--seed", "-1"), 2),
+    ((*ATTN, "--cloud", "{assets}/objects/cube.obj", "--seed", "-1"), 2),
+    ((*GEN_DATA, "--count", "0"), 2),
+    ((*GEN_DATA, "--count", "-2"), 2),
+    ((*TRACK, "--mode", "foo"), 1),
+    (("stable-poses", "--mesh", "{bad}/latin1.obj"), 1),
+    ((*ATTN, "--cloud", "{bad}/latin1.xyz"), 1),
 ], ids=["init-pose", "config-type", "config-not-json", "config-missing", "traj-no-half-extents",
         "xyz-not-numeric", "config-float-for-int", "config-bool-for-int", "config-null-for-str",
-        "ckpt-partial-policy"])
+        "ckpt-partial-policy", "train-batch-zero", "train-batch-negative", "train-epochs-negative",
+        "train-lr-nan", "eval-nan-ckpt", "gen-data-seed-negative", "train-seed-negative",
+        "track-seed-negative", "attn-seed-negative", "gen-data-count-zero", "gen-data-count-negative",
+        "track-mode-unknown", "obj-not-utf8", "xyz-not-utf8"])
 def test_malformed_input_prints_error_not_traceback(assets, malformed, argv, code):
     done = corn_subprocess(*(a.format(assets=assets, bad=malformed) for a in argv))
     assert done.returncode == code, done.stderr

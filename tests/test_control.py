@@ -257,6 +257,20 @@ def test_ik_one_iteration_evaluates_frames_twice(monkeypatch):
     assert len(calls) == 2
 
 
+def test_ik_evaluates_frames_once_per_candidate(monkeypatch):
+    # the start q once, then each line-search candidate once; an accepted
+    # candidate's frames serve the next iteration
+    seen = []
+    frames = control._frames
+    monkeypatch.setattr(control, "_frames", lambda chain, q: seen.append(q.tobytes()) or frames(chain, q))
+    res = ik(franka_like_chain(), READY, Pose([0.5, 0.0, 0.0], Rotation.from_axis_angle([2.5, 0.5, -1.0])))
+    candidates = set(seen) - {READY.tobytes()}
+    assert res.converged and res.iterations >= 3
+    assert len(candidates) > res.iterations  # some steps were halved
+    assert seen[0] == READY.tobytes()
+    assert len(seen) == 1 + len(candidates), len(seen)
+
+
 # ------------------------------------------------------------------- torque
 
 

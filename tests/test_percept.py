@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from corn import shapes
 from corn.errors import BadMagic, DegenerateInput, NoCorrespondences, TooFewPoints
@@ -333,18 +334,52 @@ def test_icp_with_occlusion_and_noise():
     assert pose.rotation.angle_to(t.rotation) < 1e-2
 
 
-def test_icp_residual_never_increases():
-    from corn.percept import _icp_full
+def mean_residual(src, tgt, pose, mode, max_corr_dist):
+    """icp's mean correspondence residual of `pose`, recomputed."""
+    moved = pose.apply(src.points)
+    dist, idx = cKDTree(tgt.points).query(moved, distance_upper_bound=max_corr_dist)
+    mask = np.isfinite(dist)
+    if mode == "point_to_point":
+        return float(np.mean(dist[mask]))
+    offsets = moved[mask] - tgt.points[idx[mask]]
+    return float(np.mean(np.abs(np.einsum("nk,nk->n", offsets, tgt.normals[idx[mask]]))))
 
+
+def test_icp_residual_never_increases():
     rng = np.random.default_rng(20)
     src = box_cloud(1500, rng)
     t = known_transform()
     noisy = t.apply(src.points) + rng.normal(scale=0.0015, size=src.points.shape)
     tgt = estimate_normals(PointCloud(noisy), 16)
     for mode in ("point_to_plane", "point_to_point"):
-        _, _, residuals = _icp_full(src, tgt, Pose.identity(), mode, 30, 1e-12, 0.02)
+        # the pose returned after iters = 1, 2, ... is the iters-th accepted
+        # pose until icp stops, and the last accepted pose from then on
+        residuals, last = [], None
+        for iters in range(1, 31):
+            pose, _ = icp(src, tgt, Pose.identity(), mode, iters, 1e-12, 0.02)
+            if last is not None and np.array_equal(pose.to_seven(), last.to_seven()):
+                break
+            residuals.append(mean_residual(src, tgt, pose, mode, 0.02))
+            last = pose
         assert len(residuals) >= 2
         assert all(a >= b - 1e-15 for a, b in zip(residuals, residuals[1:]))
+
+
+def test_icp_fitness_is_of_the_returned_pose():
+    rng = np.random.default_rng(21)
+    src = box_cloud(1500, rng)
+    tgt = estimate_normals(PointCloud(known_transform().apply(src.points)), 16)
+    for iters in (1, 2, 30):
+        pose, fitness = icp(src, tgt, Pose.identity(), "point_to_plane", iters, max_corr_dist=0.005)
+        dist, _ = cKDTree(tgt.points).query(pose.apply(src.points), distance_upper_bound=0.005)
+        assert fitness == np.mean(np.isfinite(dist))
+
+
+def test_icp_needs_an_iteration():
+    rng = np.random.default_rng(13)
+    cloud = estimate_normals(box_cloud(256, rng), 8)
+    with pytest.raises(DegenerateInput):
+        icp(cloud, cloud, Pose.identity(), "point_to_plane", iters=0)
 
 
 def test_icp_no_correspondences():
