@@ -85,7 +85,7 @@ _OPTIONS = {
 _JSON_TYPES = {str: str, int: int, float: (int, float)}
 
 # lower bounds of the options of these names, in every subcommand that has one
-_MINIMUM = {"seed": 0, "count": 1}
+_MINIMUM = {"seed": 0, "count": 1, "jobs": 1}
 
 
 def _build_parser() -> argparse.ArgumentParser:

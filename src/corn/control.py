@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    NonFiniteInput,
-    NonPositiveGains,
-    ShapeMismatch,
-    SingularSolve,
-)
-from .geom import Pose, Rotation, compose
+from .errors import DegenerateInput, NonPositiveGains, ShapeMismatch, SingularSolve
+from .geom import Pose, Rotation
 
 
 @dataclass(frozen=True)
@@ -40,24 +34,22 @@ class SerialChain:
             raise DegenerateInput("joint axes must be unit length")
         object.__setattr__(self, "origins", tuple(self.origins))
         object.__setattr__(self, "axes", axes)
+        # _frames reads the chain as arrays: per joint the origin rotation R,
+        # its translation, the axis in the parent frame R a, and R K, R K^2
+        # for the axis's skew matrix K, so that by Rodrigues' formula the
+        # joint's local rotation R exp(q K) is R + sin q R K + (1 - cos q) R K^2
+        rot = np.array([o.rotation.as_matrix() for o in self.origins]).reshape(-1, 3, 3)
+        skew = np.zeros((len(axes), 3, 3))
+        skew[:, [2, 0, 1], [1, 2, 0]] = axes
+        skew[:, [1, 2, 0], [2, 0, 1]] = -axes
+        object.__setattr__(self, "_arrays", (
+            rot, np.array([o.translation for o in self.origins]).reshape(-1, 3),
+            np.einsum("nij,nj->ni", rot, axes), rot @ skew, rot @ skew @ skew,
+            self.ee_offset.rotation.as_matrix(), self.ee_offset.translation))
 
     @property
     def n_joints(self) -> int:
         return len(self.origins)
-
-
-@dataclass(frozen=True)
-class JointState:
-    q: np.ndarray
-    qdot: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64).reshape(-1)
-        qd = np.asarray(self.qdot, dtype=np.float64).reshape(-1)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
-            raise NonFiniteInput("joint state is not finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qdot", qd)
 
 
 @dataclass(frozen=True)
@@ -76,15 +68,16 @@ class IkConfig:
 def _frames(chain: SerialChain, q):
     """World pose before each joint rotation, per-joint world axis, EE pose."""
     q = np.asarray(q, dtype=np.float64).reshape(chain.n_joints)
-    current = Pose.identity()
+    rot0, trans, axes_parent, rot_k, rot_k2, ee_rot, ee_trans = chain._arrays
+    local = rot0 + np.sin(q)[:, None, None] * rot_k + (1.0 - np.cos(q))[:, None, None] * rot_k2
+    rot, pos = np.eye(3), np.zeros(3)
     positions = np.empty((chain.n_joints, 3))
     axes_world = np.empty((chain.n_joints, 3))
     for i in range(chain.n_joints):
-        current = compose(current, chain.origins[i])
-        positions[i] = current.translation
-        axes_world[i] = current.rotation.apply(chain.axes[i])
-        current = compose(current, Pose(np.zeros(3), Rotation.from_axis_angle(chain.axes[i] * q[i])))
-    return positions, axes_world, compose(current, chain.ee_offset)
+        positions[i] = pos = rot @ trans[i] + pos
+        axes_world[i] = rot @ axes_parent[i]
+        rot = rot @ local[i]
+    return positions, axes_world, Pose(rot @ ee_trans + pos, Rotation.from_matrix(rot @ ee_rot))
 
 
 def fk(chain: SerialChain, q) -> Pose:
@@ -98,11 +91,7 @@ def jacobian(chain: SerialChain, q) -> np.ndarray:
 
 
 def _jacobian_of(positions, axes_world, ee: Pose) -> np.ndarray:
-    jac = np.empty((6, len(positions)))
-    for i in range(len(positions)):
-        jac[:3, i] = np.cross(axes_world[i], ee.translation - positions[i])
-        jac[3:, i] = axes_world[i]
-    return jac
+    return np.vstack([np.cross(axes_world, ee.translation - positions).T, axes_world.T])
 
 
 def dls_step(jac: np.ndarray, twist_error, damping: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeMismatch, TooFewPoints
+from .errors import NonFiniteInput, SizeMismatch, TooFewPoints
 from .geom import PointCloud, _readonly
 
 
@@ -48,7 +48,10 @@ class PatchSet:
 def _points_of(cloud) -> np.ndarray:
     if isinstance(cloud, PointCloud):
         return cloud.points
-    return np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
+    pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteInput("non-finite points in cloud")
+    return pts
 
 
 def farthest_point_sample(cloud, n: int) -> np.ndarray:
@@ -92,10 +95,18 @@ def make_patches(cloud, cfg: PatchConfig = PatchConfig()) -> PatchSet:
         raise SizeMismatch(f"cloud has {len(pts)} points, config expects {cfg.n_points}")
     center_idx = farthest_point_sample(pts, cfg.n_patches)
     centers = pts[center_idx]
-    # All-pairs distances from centers; stable argsort gives kNN with
-    # low-index tie-breaking for every patch at once.
+    # All-pairs distances from centers, then the k nearest per row, equal to
+    # argsort(d2, kind="stable")[:, :k]: every point strictly nearer than the
+    # k-th distance, the lowest-index points at exactly that distance to fill
+    # the row, ascending index order, then a stable sort by distance.
     diff = centers[:, None, :] - pts[None, :, :]
     d2 = np.einsum("pnk,pnk->pn", diff, diff)
-    member = np.argsort(d2, axis=1, kind="stable")[:, : cfg.patch_size]
+    k = cfg.patch_size
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    nearer, tie = d2 < kth, d2 == kth
+    room = k - np.count_nonzero(nearer, axis=1, keepdims=True)
+    member = np.nonzero(nearer | (tie & (np.cumsum(tie, axis=1) <= room)))[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(d2, member, axis=1), axis=1, kind="stable")
+    member = np.take_along_axis(member, order, axis=1)
     patches = pts[member] - centers[:, None, :]
     return PatchSet(centers=centers, patches=patches, member_indices=member)

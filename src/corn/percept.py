@@ -267,6 +267,10 @@ def init_tracker(initial_cloud: PointCloud, initial_pose: Pose,
                  fitness_threshold: float = 0.6, seed: int = 0) -> TrackerState:
     if mode not in ICP_MODES:
         raise DegenerateInput(f"unknown icp mode {mode!r}")
+    if not (np.isfinite(corr_dist) and corr_dist > 0):
+        raise DegenerateInput(f"corr_dist must be finite and > 0, got {corr_dist}")
+    if not 0.0 <= fitness_threshold <= 1.0:
+        raise DegenerateInput(f"fitness_threshold must be in [0, 1], got {fitness_threshold}")
     cloud = _subsample(initial_cloud, cfg.n_track, np.random.default_rng(seed))
     if cloud.normals is None:
         cloud = estimate_normals(cloud)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import NonPositiveVolume, NotWatertight, WorkspaceTooSmall
+from .errors import DegenerateInput, NonPositiveVolume, NotWatertight, WorkspaceTooSmall
 from .geom import Aabb, Pose, Rotation
 
 SUPPORT_PLANE_TOL = 1e-6
@@ -104,6 +104,8 @@ def stable_orientations(mesh, margin_min: float = 0.002) -> list[StablePose]:
     """Enumerate yaw-equivalence classes of statically stable resting poses."""
     if not mesh.watertight:
         raise NotWatertight("stability analysis requires a watertight mesh")
+    if not np.isfinite(margin_min):
+        raise DegenerateInput(f"margin_min must be finite, got {margin_min}")
     com, _ = com_and_volume(mesh)
     hull = ConvexHull(mesh.vertices)
     hull_pts = mesh.vertices[hull.vertices]

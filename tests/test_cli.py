@@ -275,12 +275,19 @@ ATTN = ("attn", "--ckpt", "{bad}/model.ckpt", "--pose", "0 0 0.1 0 0 0 1")
     ((*TRACK, "--mode", "foo"), 1),
     (("stable-poses", "--mesh", "{bad}/latin1.obj"), 1),
     ((*ATTN, "--cloud", "{bad}/latin1.xyz"), 1),
+    ((*TRACK, "--corr-dist", "nan"), 1),
+    ((*TRACK, "--corr-dist", "-1"), 1),
+    ((*TRACK, "--fitness-threshold", "1.5"), 1),
+    (("stable-poses", "--mesh", "{assets}/objects/cube.obj", "--margin", "nan"), 1),
+    ((*GEN_DATA, "--jobs", "-3"), 2),
 ], ids=["init-pose", "config-type", "config-not-json", "config-missing", "traj-no-half-extents",
         "xyz-not-numeric", "config-float-for-int", "config-bool-for-int", "config-null-for-str",
         "ckpt-partial-policy", "train-batch-zero", "train-batch-negative", "train-epochs-negative",
         "train-lr-nan", "eval-nan-ckpt", "gen-data-seed-negative", "train-seed-negative",
         "track-seed-negative", "attn-seed-negative", "gen-data-count-zero", "gen-data-count-negative",
-        "track-mode-unknown", "obj-not-utf8", "xyz-not-utf8"])
+        "track-mode-unknown", "obj-not-utf8", "xyz-not-utf8", "track-corr-dist-nan",
+        "track-corr-dist-negative", "track-fitness-above-one", "stable-poses-margin-nan",
+        "gen-data-jobs-negative"])
 def test_malformed_input_prints_error_not_traceback(assets, malformed, argv, code):
     done = corn_subprocess(*(a.format(assets=assets, bad=malformed) for a in argv))
     assert done.returncode == code, done.stderr

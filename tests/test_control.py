@@ -64,6 +64,34 @@ def test_fk_planar_two_link():
     assert np.allclose(got.translation, [-1.0, 1.0, 0.0], atol=1e-9)
 
 
+def quaternion_frames(chain, q):
+    """The chain walked as composed Poses, one quaternion product per step:
+    the oracle for control._frames, which walks it as rotation matrices."""
+    q = np.asarray(q, dtype=np.float64).reshape(chain.n_joints)
+    current = Pose.identity()
+    positions = np.empty((chain.n_joints, 3))
+    axes_world = np.empty((chain.n_joints, 3))
+    for i in range(chain.n_joints):
+        current = compose(current, chain.origins[i])
+        positions[i] = current.translation
+        axes_world[i] = current.rotation.apply(chain.axes[i])
+        current = compose(current, Pose(np.zeros(3), Rotation.from_axis_angle(chain.axes[i] * q[i])))
+    return positions, axes_world, compose(current, chain.ee_offset)
+
+
+def test_fk_and_jacobian_match_quaternion_oracle():
+    chain = franka_like_chain()
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        q = rng.uniform(-np.pi, np.pi, size=7)
+        positions, axes_world, ee = quaternion_frames(chain, q)
+        got = fk(chain, q)
+        assert np.max(np.abs(got.translation - ee.translation)) <= 1e-12
+        assert np.max(np.abs(got.rotation.as_matrix() - ee.rotation.as_matrix())) <= 1e-12
+        want = control._jacobian_of(positions, axes_world, ee)
+        assert np.max(np.abs(jacobian(chain, q) - want)) <= 1e-12
+
+
 # ----------------------------------------------------------------- jacobian
 
 
@@ -246,6 +274,25 @@ def test_ik_bit_identical_to_reference_loop():
         assert np.array_equal(got.q, want.q)
         assert (got.pos_error, got.rot_error, got.iterations, got.converged, got.no_progress) == \
             (want.pos_error, want.rot_error, want.iterations, want.converged, want.no_progress)
+
+
+def test_ik_matches_quaternion_oracle(monkeypatch):
+    # the same solves with ik driven by the quaternion walk: equal iteration
+    # counts and flags show that no line-search comparison flipped
+    chain = franka_like_chain()
+    rng = np.random.default_rng(13)
+    cases = []
+    for i in range(400):
+        q = READY + rng.uniform(-0.3, 0.3, size=7)
+        size = (0.003, 0.03, 0.3, 3.0)[i % 4]
+        cases.append((size, q, Pose(rng.normal(size=3) * size / 3,
+                                    Rotation.from_axis_angle(rng.normal(size=3) * size))))
+    got = [ik(chain, q, residual) for _, q, residual in cases]
+    monkeypatch.setattr(control, "_frames", quaternion_frames)
+    want = [ik(chain, q, residual) for _, q, residual in cases]
+    for (size, _, _), g, w in zip(cases, got, want):
+        assert (g.iterations, g.converged, g.no_progress) == (w.iterations, w.converged, w.no_progress)
+        assert np.max(np.abs(g.q - w.q)) <= (1e-12 if size <= 0.3 else 1e-11)
 
 
 def test_ik_one_iteration_evaluates_frames_twice(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corn.errors import SizeMismatch, TooFewPoints
+from corn.errors import NonFiniteInput, SizeMismatch, TooFewPoints
 from corn.geom import Pose, random_rotation
 from corn.patches import PatchConfig, farthest_point_sample, knn, make_patches
 
@@ -114,6 +114,29 @@ def test_make_patches_shapes_and_invariants():
         d = np.linalg.norm(ps.patches[i], axis=1)
         assert np.all(np.diff(d) >= -1e-12)
     assert np.allclose(ps.patches[:, 0, :], 0.0)
+
+
+def test_make_patches_members_match_stable_argsort():
+    # every third cloud is snapped to a 0.5 or 0.125 grid, so many rows hold
+    # more points at the k-th distance than the patch has room for
+    rng = np.random.default_rng(20)
+    for i in range(3000):
+        pts = rng.normal(size=(512, 3))
+        if i % 3:
+            step = 0.5 if i % 3 == 1 else 0.125
+            pts = np.round(pts / step) * step
+        centers = pts[farthest_point_sample(pts, 16)]
+        diff = centers[:, None, :] - pts[None, :, :]
+        d2 = np.einsum("pnk,pnk->pn", diff, diff)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :32]
+        assert np.array_equal(make_patches(pts).member_indices, want), i
+
+
+def test_make_patches_rejects_non_finite_points():
+    pts = np.random.default_rng(21).normal(size=(512, 3))
+    pts[7, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        make_patches(pts)
 
 
 def test_make_patches_size_mismatch():

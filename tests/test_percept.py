@@ -439,6 +439,18 @@ def test_tracking_occluded_frame_holds_pose():
     assert np.array_equal(state.pose.translation, before.translation)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(corr_dist=np.nan), dict(corr_dist=-1.0), dict(corr_dist=0.0), dict(corr_dist=np.inf),
+    dict(fitness_threshold=np.nan), dict(fitness_threshold=-0.1), dict(fitness_threshold=1.5),
+], ids=["corr-nan", "corr-negative", "corr-zero", "corr-inf", "fit-nan", "fit-negative", "fit-above-one"])
+def test_init_tracker_rejects_bad_gate_values(kwargs):
+    # a NaN bound matches nothing and a negative one still matches near
+    # points in cKDTree.query, so both would give a wrong track, not an error
+    cloud = box_cloud(200, np.random.default_rng(19))
+    with pytest.raises(DegenerateInput):
+        init_tracker(cloud, Pose.identity(), SegmentationConfig(), **kwargs)
+
+
 # ----------------------------------------------------------- pipeline, pcseq
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corn import shapes
-from corn.errors import NonPositiveVolume, NotWatertight, WorkspaceTooSmall
+from corn.errors import DegenerateInput, NonPositiveVolume, NotWatertight, WorkspaceTooSmall
 from corn.geom import Aabb, Rotation, TriMesh
 from corn.poses import (
     YAW_DEDUP_TOL,
@@ -110,6 +110,13 @@ def test_margin_threshold_excludes_narrow_supports():
     # every face of this box has a 10 mm margin; the threshold brackets it
     assert len(stable_orientations(thin, margin_min=0.009)) == 6
     assert len(stable_orientations(thin, margin_min=0.012)) == 0
+
+
+@pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf])
+def test_margin_must_be_finite(margin):
+    # margin < nan is always false, so a NaN margin would keep every facet
+    with pytest.raises(DegenerateInput):
+        stable_orientations(shapes.ellipsoid((0.08, 0.03, 0.02)), margin_min=margin)
 
 
 def test_unstable_overhang_excluded():
