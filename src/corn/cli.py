@@ -167,16 +167,16 @@ def _print_stats(records) -> None:
 
 
 def _cmd_gen_data(opt) -> int:
+    cfg = contactgen.DataGenConfig(
+        sigma=opt["sigma"], seed=opt["seed"],
+        samples_for_displacement=opt["displacement-samples"],
+    )
     obj_dir = Path(opt["objects"])
     paths = sorted(obj_dir.glob("*.obj"))
     if not paths:
         raise MeshLoadError(f"no .obj files in {obj_dir}")
     objects = [load_obj(p) for p in paths]
     gripper = load_obj(opt["gripper"])
-    cfg = contactgen.DataGenConfig(
-        sigma=opt["sigma"], seed=opt["seed"],
-        samples_for_displacement=opt["displacement-samples"],
-    )
     records = contactgen.generate_dataset(objects, gripper, cfg, opt["count"], jobs=opt["jobs"])
     contactgen.write_dataset(records, opt["out"])
     print(f"wrote {opt['count']} records to {opt['out']}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometry, EmptyDataset, NotWatertight, SizeMismatch
+from .errors import DegenerateGeometry, DegenerateInput, EmptyDataset, NotWatertight, SizeMismatch
 from .formats import DATASET_FORMAT_VERSION, DATASET_MAGIC, Reader
 from .geom import (
     Aabb,
@@ -56,8 +56,11 @@ class DataGenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise SizeMismatch("sigma must be >= 0")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise DegenerateInput(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        for name in ("n_surface_points", "samples_for_displacement"):
+            if getattr(self, name) < 1:
+                raise DegenerateInput(f"{name} must be >= 1, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,12 @@ def _alg1_draw(obj: TriMesh, grip: TriMesh, cfg: DataGenConfig, rng):
         # ill-defined, label at the sampled pose directly.
         return obj_w, t_grip, delta, 1.0, t_grip
     s = float(rng.normal(1.0, cfg.sigma / dist))
-    settled = Pose(t_grip.translation - s * delta, t_grip.rotation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        translation = t_grip.translation - s * delta
+        stored = translation.astype(np.float32)
+    if not np.all(np.isfinite(stored)):
+        raise DegenerateInput(f"sigma {cfg.sigma!r} moves the gripper to a non-finite translation")
+    settled = Pose(translation, t_grip.rotation)
     return obj_w, t_grip, delta, s, settled
 
 
@@ -132,7 +140,10 @@ def generate_record(obj: TriMesh, grip: TriMesh, cfg: DataGenConfig, seed: int,
     if not obj.watertight or not grip.watertight:
         raise NotWatertight("dataset generation requires watertight meshes")
     rng = np.random.default_rng(seed)
-    obj_w, _, _, _, settled = _alg1_draw(obj, grip, cfg, rng)
+    try:
+        obj_w, _, _, _, settled = _alg1_draw(obj, grip, cfg, rng)
+    except DegenerateInput as exc:
+        raise DegenerateInput(f"record seed {seed}: {exc}") from None
     cloud = sample_surface_points(obj_w, cfg.n_surface_points, rng)
     pose7 = settled.to_seven().astype(np.float32)
     pts32 = cloud.points.astype(np.float32)

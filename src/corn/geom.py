@@ -36,6 +36,8 @@ _RAY_DIRECTIONS = np.array(
 )
 
 _POINT_CHUNK = 256
+# Samples whose exact distances bound the minimum in nearest_displacement.
+_BOUND_SAMPLES = 8
 
 
 def _vec3(x) -> np.ndarray:
@@ -428,25 +430,18 @@ def sample_surface_points(mesh: TriMesh, n: int, rng) -> PointCloud:
     return PointCloud(pts)
 
 
-def _cast_parity(points: np.ndarray, mesh: TriMesh, direction: np.ndarray):
-    """One parity cast for a batch of points.
+def _cast_parity(points: np.ndarray, a, e1, e2, normal, direction: np.ndarray):
+    """One parity cast for a batch of points against faces with origins `a`,
+    edges `e1`, `e2` and unit normals `normal`.
 
     Returns (inside, degenerate, on_surface) boolean arrays. A cast is
     degenerate for a point when the ray passes within 1e-9 of a triangle
     edge or vertex, or grazes a coplanar triangle.
     """
     eps = 1e-9
-    tri = mesh.triangles()
-    a = tri[:, 0]
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
     h = np.cross(direction, e2)  # (M,3)
     det = np.einsum("mk,mk->m", e1, h)
     parallel = np.abs(det) < 1e-12
-    normal = np.cross(e1, e2)
-    nn = np.linalg.norm(normal, axis=1)
-    nn[nn == 0.0] = 1.0
-    normal = normal / nn[:, None]
 
     n_pts = points.shape[0]
     inside = np.zeros(n_pts, dtype=bool)
@@ -481,19 +476,36 @@ def points_in_mesh(points, mesh: TriMesh) -> np.ndarray:
     """Batched containment test by ray parity with degenerate-cast recovery.
 
     Points exactly on the surface are reported inside. Requires a watertight
-    mesh.
+    mesh. Points outside the mesh's bounding box, padded by a margin well
+    above the casts' 1e-9 tolerances, are outside without a cast; the answer
+    equals that of casting every point.
     """
     if not mesh.watertight:
         raise NotWatertight("containment requires a watertight mesh")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    inside, degen, on_surf = _cast_parity(pts, mesh, _RAY_DIRECTIONS[0])
-    result = inside.copy()
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pad = 1e-6 * max(1.0, float(np.max(hi - lo)))
+    near = np.flatnonzero(np.all((pts >= lo - pad) & (pts <= hi + pad), axis=1))
+    result = np.zeros(len(pts), dtype=bool)
+    if near.size == 0:
+        return result
+    pts = pts[near]
+    tri = mesh.triangles()
+    e1 = tri[:, 1] - tri[:, 0]
+    e2 = tri[:, 2] - tri[:, 0]
+    normal = np.cross(e1, e2)
+    nn = np.linalg.norm(normal, axis=1)
+    nn[nn == 0.0] = 1.0
+    faces = (tri[:, 0], e1, e2, normal / nn[:, None])
+
+    inside, degen, on_surf = _cast_parity(pts, *faces, _RAY_DIRECTIONS[0])
+    hit = inside.copy()
     retry = np.flatnonzero(degen)
     if retry.size:
         votes = [inside[retry]]
         clean = [~degen[retry]]
         for d in _RAY_DIRECTIONS[1:]:
-            i2, d2, s2 = _cast_parity(pts[retry], mesh, d)
+            i2, d2, s2 = _cast_parity(pts[retry], *faces, d)
             votes.append(i2)
             clean.append(~d2)
             on_surf[retry] |= s2
@@ -503,8 +515,8 @@ def points_in_mesh(points, mesh: TriMesh) -> np.ndarray:
         clean_votes = np.sum(votes & clean, axis=0)
         all_votes = votes.sum(axis=0)
         majority = np.where(n_clean > 0, clean_votes * 2 > n_clean, all_votes * 2 > 3)
-        result[retry] = majority
-    result |= on_surf
+        hit[retry] = majority
+    result[near] = hit | on_surf
     return result
 
 
@@ -515,15 +527,18 @@ def point_in_mesh(p, mesh: TriMesh) -> bool:
 def _tri_dots(points, a, ab, ac):
     """Per-pair dot products d1 = ab.(p-a), d2 = ac.(p-a), pa2 = |p-a|^2.
 
-    Built from Q x M matrix products only; no (Q, M, 3) arrays.
+    Built from Q x M matrix products only, updated in place; no (Q, M, 3)
+    arrays. The evaluation order, pa2 = (|p|^2 - 2 p.a) + |a|^2, is part of
+    the output bits of every nearest-point query.
     """
-    d1 = points @ ab.T - np.einsum("mk,mk->m", a, ab)
-    d2 = points @ ac.T - np.einsum("mk,mk->m", a, ac)
-    pa2 = (
-        np.einsum("qk,qk->q", points, points)[:, None]
-        - 2.0 * (points @ a.T)
-        + np.einsum("mk,mk->m", a, a)
-    )
+    d1 = points @ ab.T
+    d1 -= np.einsum("mk,mk->m", a, ab)
+    d2 = points @ ac.T
+    d2 -= np.einsum("mk,mk->m", a, ac)
+    pa2 = points @ a.T
+    pa2 *= 2.0
+    np.subtract(np.einsum("qk,qk->q", points, points)[:, None], pa2, out=pa2)
+    pa2 += np.einsum("mk,mk->m", a, a)
     return d1, d2, pa2
 
 
@@ -560,17 +575,34 @@ def _candidate_dist2(d1, d2, pa2, d00, d01, d11):
     return (d_int, d_ab, d_ac, d_bc), (vi, wi, t_ab, t_ac, t_bc)
 
 
-def _closest_on_triangles(points: np.ndarray, tri: np.ndarray):
-    """Squared distance to each triangle plus barycentric recovery data."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    ab, ac = b - a, c - a
-    d00 = np.einsum("mk,mk->m", ab, ab)
-    d01 = np.einsum("mk,mk->m", ab, ac)
-    d11 = np.einsum("mk,mk->m", ac, ac)
-    d1, d2, pa2 = _tri_dots(points, a, ab, ac)
+def _faces(mesh: TriMesh):
+    """Per-face terms of the closest-point evaluation: origin a, edges ab and
+    ac, and the dot products ab.ab, ab.ac and ac.ac."""
+    tri = mesh.triangles()
+    a, ab, ac = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    return (a, ab, ac, np.einsum("mk,mk->m", ab, ab), np.einsum("mk,mk->m", ab, ac),
+            np.einsum("mk,mk->m", ac, ac))
+
+
+def _chunk_rows(n_faces: int) -> int:
+    """Query rows per block; nearest_displacement uses the same blocks as
+    nearest_points_on_mesh, so both see the same matrix-product bits."""
+    return max(16, int(4e6 / max(n_faces, 1)))
+
+
+def _nearest_in_block(d1, d2, pa2, faces):
+    """Closest point and distance per row over the block's faces (columns)."""
+    a, ab, ac, d00, d01, d11 = faces
     cands, params = _candidate_dist2(d1, d2, pa2, d00, d01, d11)
     dist2 = np.minimum(np.minimum(cands[0], cands[1]), np.minimum(cands[2], cands[3]))
-    return np.maximum(dist2, 0.0), cands, params
+    dist2 = np.maximum(dist2, 0.0)
+    idx = np.argmin(dist2, axis=1)
+    rows = np.arange(len(dist2))
+    vi, wi, t_ab, t_ac, t_bc = (x[rows, idx] for x in params)
+    which = np.argmin(np.stack([c[rows, idx] for c in cands]), axis=0)
+    v = np.choose(which, [vi, t_ab, np.zeros_like(vi), 1.0 - t_bc])
+    w = np.choose(which, [wi, np.zeros_like(wi), t_ac, t_bc])
+    return a[idx] + v[:, None] * ab[idx] + w[:, None] * ac[idx], np.sqrt(dist2[rows, idx])
 
 
 def nearest_points_on_mesh(points, mesh: TriMesh):
@@ -578,24 +610,13 @@ def nearest_points_on_mesh(points, mesh: TriMesh):
     if len(mesh) == 0:
         raise EmptyMesh("mesh has no faces")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    tri = mesh.triangles()
-    a = tri[:, 0]
-    ab = tri[:, 1] - tri[:, 0]
-    ac = tri[:, 2] - tri[:, 0]
+    faces = _faces(mesh)
     out_pts = np.empty_like(pts)
     out_d = np.empty(len(pts))
-    chunk = max(16, int(4e6 / max(len(tri), 1)))
+    chunk = _chunk_rows(len(mesh))
     for start in range(0, len(pts), chunk):
-        p = pts[start : start + chunk]
-        dist2, cands, params = _closest_on_triangles(p, tri)
-        idx = np.argmin(dist2, axis=1)
-        rows = np.arange(len(p))
-        vi, wi, t_ab, t_ac, t_bc = (x[rows, idx] for x in params)
-        which = np.argmin(np.stack([c[rows, idx] for c in cands]), axis=0)
-        v = np.choose(which, [vi, t_ab, np.zeros_like(vi), 1.0 - t_bc])
-        w = np.choose(which, [wi, np.zeros_like(wi), t_ac, t_bc])
-        out_pts[start : start + chunk] = a[idx] + v[:, None] * ab[idx] + w[:, None] * ac[idx]
-        out_d[start : start + chunk] = np.sqrt(dist2[rows, idx])
+        block = _tri_dots(pts[start : start + chunk], *faces[:3])
+        out_pts[start : start + chunk], out_d[start : start + chunk] = _nearest_in_block(*block, faces)
     return out_pts, out_d
 
 
@@ -610,10 +631,59 @@ def nearest_displacement(a: TriMesh, b: TriMesh, m: int, rng) -> np.ndarray:
     a* ranges over m surface samples of `a`; b* is the exact nearest point of
     `b` to each sample. Returns b* - a* for the minimizing pair, so
     translating `b` by the negative displacement brings b* onto a*.
+
+    The result equals `nearest_points_on_mesh` on every sample followed by
+    `argmin`, bit for bit, but evaluates only the pairs that can attain the
+    minimum (Ericson 2004, Real-Time Collision Detection, ch. 5-6). The exact
+    distances of the few samples nearest a face corner of `b` give an upper
+    bound U; a (sample, face) pair is skipped when the sample lies farther than U
+    from the face's bounding sphere, by a slack that covers the rounding of
+    the bound and of the evaluated distances. The dot products come from the
+    same row chunks as in `nearest_points_on_mesh`, and the surviving samples
+    and faces, in their original order, form a sub-block of them, so every
+    value and every tie is the same as in the full evaluation.
     """
     if m < 1:
         raise DegenerateInput("sample count must be >= 1")
     samples = sample_surface_points(a, m, rng).points
-    closest, dist = nearest_points_on_mesh(samples, b)
-    i = int(np.argmin(dist))
-    return closest[i] - samples[i]
+    if len(b) == 0:
+        raise EmptyMesh("mesh has no faces")
+    faces = _faces(b)
+    fa, ab, ac, d00, d01, d11 = faces
+    # Bounding sphere about the centroid fa + off: |p - centre|^2 is
+    # pa2 - 2/3 (d1 + d2) + |off|^2 in terms of the block's dot products.
+    off = (ab + ac) / 3.0
+    off2 = np.einsum("mk,mk->m", off, off)
+    radius = np.linalg.norm(np.stack([off, ab - off, ac - off]), axis=2).max(axis=0)
+    # Rounding moves an evaluated distance by up to about 2e-8 scale
+    # sqrt(conditioning), where scale bounds the coordinates and the
+    # conditioning d00 d11 / den grows as a face degenerates; a slack of 1e-6
+    # times that keeps every skipped pair strictly above U. Faces with
+    # den <= 0 get an infinite slack.
+    scale = max(float(np.abs(samples).max()), float(np.abs(b.vertices).max()))
+    den = d00 * d11 - d01 * d01
+    conditioning = np.divide(d00 * d11, den, out=np.full(len(den), np.inf), where=den > 0.0)
+    slack = radius + 1e-6 * scale * np.sqrt(conditioning)
+
+    upper = np.inf
+    best = []  # (distance, displacement) of each chunk's first minimizer
+    chunk = _chunk_rows(len(b))
+    for start in range(0, m, chunk):
+        p = samples[start : start + chunk]
+        d1, d2, pa2 = _tri_dots(p, fa, ab, ac)
+        near = np.argsort(pa2.min(axis=1), kind="stable")[:_BOUND_SAMPLES]
+        upper = min(upper, float(_nearest_in_block(d1[near], d2[near], pa2[near], faces)[1].min()))
+        centre2 = d1 + d2
+        centre2 *= -2.0 / 3.0
+        centre2 += pa2
+        centre2 += off2
+        keep = ~(centre2 > (upper + slack) ** 2)  # NaN keeps the pair
+        rows = np.flatnonzero(keep.any(axis=1))
+        if rows.size == 0:
+            continue
+        cols = np.flatnonzero(keep.any(axis=0))
+        sub = np.ix_(rows, cols)
+        closest, dist = _nearest_in_block(d1[sub], d2[sub], pa2[sub], tuple(x[cols] for x in faces))
+        i = int(np.argmin(dist))
+        best.append((dist[i], closest[i] - p[rows[i]]))
+    return best[int(np.argmin([d for d, _ in best]))][1]

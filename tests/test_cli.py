@@ -280,6 +280,10 @@ ATTN = ("attn", "--ckpt", "{bad}/model.ckpt", "--pose", "0 0 0.1 0 0 0 1")
     ((*TRACK, "--fitness-threshold", "1.5"), 1),
     (("stable-poses", "--mesh", "{assets}/objects/cube.obj", "--margin", "nan"), 1),
     ((*GEN_DATA, "--jobs", "-3"), 2),
+    ((*GEN_DATA, "--sigma", "nan"), 1),
+    ((*GEN_DATA, "--sigma=-inf"), 1),
+    ((*GEN_DATA, "--sigma", "1e300"), 1),
+    ((*GEN_DATA, "--displacement-samples", "0"), 1),
 ], ids=["init-pose", "config-type", "config-not-json", "config-missing", "traj-no-half-extents",
         "xyz-not-numeric", "config-float-for-int", "config-bool-for-int", "config-null-for-str",
         "ckpt-partial-policy", "train-batch-zero", "train-batch-negative", "train-epochs-negative",
@@ -287,12 +291,14 @@ ATTN = ("attn", "--ckpt", "{bad}/model.ckpt", "--pose", "0 0 0.1 0 0 0 1")
         "track-seed-negative", "attn-seed-negative", "gen-data-count-zero", "gen-data-count-negative",
         "track-mode-unknown", "obj-not-utf8", "xyz-not-utf8", "track-corr-dist-nan",
         "track-corr-dist-negative", "track-fitness-above-one", "stable-poses-margin-nan",
-        "gen-data-jobs-negative"])
+        "gen-data-jobs-negative", "gen-data-sigma-nan", "gen-data-sigma-neg-inf", "gen-data-sigma-huge",
+        "gen-data-displacement-samples-zero"])
 def test_malformed_input_prints_error_not_traceback(assets, malformed, argv, code):
     done = corn_subprocess(*(a.format(assets=assets, bad=malformed) for a in argv))
     assert done.returncode == code, done.stderr
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
     assert done.stdout == ""
+    assert not (malformed / "count.corn").exists()
 
 
 def test_version_exits_zero(capsys):

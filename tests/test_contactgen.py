@@ -18,6 +18,7 @@ from corn.contactgen import (
 )
 from corn.errors import (
     BadMagic,
+    DegenerateInput,
     EmptyDataset,
     NotWatertight,
     TruncatedRecord,
@@ -107,6 +108,20 @@ def test_far_gripper_labels_all_false():
     far = Pose(rec.gripper_pose.translation + np.array([1.0, 0, 0]), rec.gripper_pose.rotation)
     labels = points_in_mesh(rec.points.astype(np.float64), GRIPPER.transformed(far))
     assert not labels.any()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma", float("nan")), ("sigma", float("inf")), ("sigma", float("-inf")), ("sigma", -0.001),
+    ("samples_for_displacement", 0), ("n_surface_points", 0), ("n_surface_points", -5),
+])
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(DegenerateInput, match=f"{field} .*{value!r}"):
+        DataGenConfig(**{field: value})
+
+
+def test_non_finite_settled_translation_names_sigma_and_seed():
+    with pytest.raises(DegenerateInput, match=r"record seed 3: sigma 1e\+300 "):
+        generate_record(CUBE, GRIPPER, small_cfg(sigma=1e300), seed=3)
 
 
 def test_generate_record_requires_watertight():

@@ -9,6 +9,8 @@ from corn.errors import (
     NotWatertight,
 )
 from corn.geom import (
+    _RAY_DIRECTIONS,
+    _cast_parity,
     Aabb,
     Pose,
     Rotation,
@@ -228,6 +230,65 @@ def test_axis_aligned_ray_through_vertices():
     assert bool(got[1]) and not bool(got[2])
 
 
+def cast_containment(points, mesh):
+    """points_in_mesh without its bounding-box skip: every point is cast."""
+    tri = mesh.triangles()
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    normal = np.cross(e1, e2)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    faces = (tri[:, 0], e1, e2, normal)
+    casts = [_cast_parity(points, *faces, d) for d in _RAY_DIRECTIONS]
+    inside, degenerate, on_surface = (np.stack(x) for x in zip(*casts))
+    clean = ~degenerate
+    n_clean = clean.sum(axis=0)
+    vote = np.where(n_clean > 0, np.sum(inside & clean, axis=0) * 2 > n_clean,
+                    inside.sum(axis=0) * 2 > 3)
+    return np.where(degenerate[0], vote, inside[0]) | on_surface[0] | (degenerate[0] & on_surface.any(axis=0))
+
+
+def box_face_points(lo, hi, n, rng):
+    """Points on the faces, edges and corners of the box [lo, hi], with the
+    outward unit normal of the face each was put on."""
+    pts = rng.uniform(lo, hi, size=(n, 3))
+    axis = rng.integers(0, 3, n)
+    side = rng.integers(0, 2, n)
+    rows = np.arange(n)
+    pts[rows, axis] = np.where(side == 1, hi[axis], lo[axis])
+    edge = rows[: n // 3]
+    other = (axis[edge] + 1) % 3
+    pts[edge, other] = np.where(rng.integers(0, 2, len(edge)) == 1, hi[other], lo[other])
+    normal = np.zeros((n, 3))
+    normal[rows, axis] = np.where(side == 1, 1.0, -1.0)
+    return pts, normal
+
+
+def test_bounding_box_skip_matches_casts_on_cube():
+    cube = shapes.box((1, 1, 1))
+    rng = np.random.default_rng(23)
+    face, normal = box_face_points(-0.5 * np.ones(3), 0.5 * np.ones(3), 600, rng)
+    offsets = (0.0, 1e-10, -1e-10, 1e-7, -1e-7, 2e-6, 1e-3)
+    pts = np.vstack([face + d * normal for d in offsets]
+                    + [cube.vertices, rng.uniform(-0.8, 0.8, size=(2000, 3))])
+    got = points_in_mesh(pts, cube)
+    assert np.array_equal(got, cast_containment(pts, cube))
+    analytic = np.abs(pts).max(axis=1) <= 0.5
+    tolerated = np.zeros(len(pts), dtype=bool)
+    tolerated[600:1200] = True  # 1e-10 outside: on the surface within the casts' 1e-9
+    assert np.array_equal(got[~tolerated], analytic[~tolerated])
+    assert got[tolerated].all()
+
+
+def test_bounding_box_skip_matches_casts_on_posed_gripper():
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        grip = shapes.two_finger_gripper().transformed(random_pose(rng))
+        lo, hi = grip.vertices.min(axis=0), grip.vertices.max(axis=0)
+        face, normal = box_face_points(lo, hi, 300, rng)
+        pts = np.vstack([face + d * normal for d in (0.0, 1e-10, -1e-10, 1e-7, -1e-7, 2e-6)]
+                        + [grip.vertices, rng.uniform(lo - 0.02, hi + 0.02, size=(1000, 3))])
+        assert np.array_equal(points_in_mesh(pts, grip), cast_containment(pts, grip))
+
+
 # ------------------------------------------------------------ nearest point
 
 
@@ -342,6 +403,87 @@ def test_nearest_displacement_mesh_antisymmetry_approx():
     d_ab = nearest_displacement(a, b, 20_000, np.random.default_rng(17))
     d_ba = nearest_displacement(b, a, 20_000, np.random.default_rng(18))
     assert np.linalg.norm(d_ab + d_ba) < 5e-3
+
+
+def exhaustive_displacement(a, b, m, seed):
+    """What nearest_displacement prunes: every sample against every face."""
+    samples = sample_surface_points(a, m, np.random.default_rng(seed)).points
+    closest, dist = nearest_points_on_mesh(samples, b)
+    i = int(np.argmin(dist))
+    return closest[i] - samples[i]
+
+
+def assert_pruning_exact(a, b, m, seed):
+    got = nearest_displacement(a, b, m, np.random.default_rng(seed))
+    assert got.tobytes() == exhaustive_displacement(a, b, m, seed).tobytes(), seed
+    return got
+
+
+def workspace_pose(rng):
+    return Pose(rng.uniform((-0.3, -0.3, 0.0), (0.3, 0.3, 0.5)), random_rotation(rng))
+
+
+def test_nearest_displacement_matches_exhaustive_on_random_draws():
+    gripper = shapes.two_finger_gripper()
+    objects = shapes.primitive_set()
+    rng = np.random.default_rng(19)
+    for k in range(300):
+        a = objects[k % len(objects)].transformed(workspace_pose(rng))
+        b = gripper.transformed(workspace_pose(rng))
+        if k % 2:
+            a, b = b, a
+        assert_pruning_exact(a, b, (1024, 257, 1)[k % 3], seed=k)
+
+
+def test_nearest_displacement_exact_on_touching_and_intersecting_pairs():
+    gripper = shapes.two_finger_gripper()
+    rng = np.random.default_rng(20)
+    for k, obj in enumerate(shapes.primitive_set() * 8):
+        pose = workspace_pose(rng)
+        a = obj.transformed(pose)
+        b = gripper.transformed(workspace_pose(rng))
+        # the same samples against the gripper moved onto its nearest sample
+        touching = b.translated(-nearest_displacement(a, b, 1024, np.random.default_rng(k)))
+        assert np.linalg.norm(assert_pruning_exact(a, touching, 1024, seed=k)) < 1e-6
+        centred = Pose(pose.translation + rng.uniform(-0.01, 0.01, 3), random_rotation(rng))
+        assert_pruning_exact(a, gripper.transformed(centred), 1024, seed=k)
+
+
+def test_nearest_displacement_ties_resolve_to_the_first_sample():
+    # face to face on a dyadic grid: many samples lie exactly on the shared face
+    a = shapes.box((0.25, 0.25, 0.25))
+    b = shapes.box((0.25, 0.25, 0.25), center=(0.25, 0.0, 0.0))
+    _, dist = nearest_points_on_mesh(sample_surface_points(a, 4096, np.random.default_rng(21)).points, b)
+    assert np.sum(dist == dist.min()) > 100
+    for seed in range(21, 31):
+        assert_pruning_exact(a, b, 4096, seed)
+        assert_pruning_exact(b, a, 4096, seed)
+    assert_pruning_exact(a, b, 1, 31)
+    # 332 faces: 30000 samples span three row chunks, with ties in each
+    many = shapes.merge([b, shapes.icosphere(0.1, 2, center=(2.0, 0.0, 0.0))])
+    assert_pruning_exact(a, many, 30_000, 32)
+
+
+def test_nearest_displacement_keeps_pairs_at_the_sphere_bound():
+    # A sliver on the ray from a triangle's centroid through a vertex: there the
+    # bounding-sphere bound equals the distance, up to rounding.
+    rng = np.random.default_rng(22)
+    for seed in range(40):
+        rot = random_rotation(rng)
+        corners = np.array([[1.0, 0.0, 0.0], [-0.5, 0.75 ** 0.5, 0.0], [-0.5, -(0.75 ** 0.5), 0.0]])
+        offset = rng.uniform(-0.3, 0.3, 3)
+        tri = TriMesh(rot.apply(0.05 * corners) + offset, [[0, 1, 2]])
+        u = rot.apply([1.0, 0.0, 0.0])
+        side = rot.apply([0.0, 0.0, 1.0])
+        v = tri.vertices[0]
+        sliver = TriMesh([v + 1e-4 * u, v + 0.2 * u, v + 0.2 * u + 1e-10 * side], [[0, 1, 2]])
+        assert_pruning_exact(sliver, tri, 64, seed)
+
+
+def test_nearest_displacement_empty_target():
+    empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3)))
+    with pytest.raises(EmptyMesh):
+        nearest_displacement(shapes.box((1, 1, 1)), empty, 16, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- obj format
